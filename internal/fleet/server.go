@@ -27,7 +27,8 @@ import (
 //
 //	POST /submit  {"workload":"SC","workers":2,"work_scale":0.05,"count":1}
 //	              → {"ids":[1],"cache_hits":[false]}; "spec" may replace
-//	              "workload" with a full custom spec object
+//	              "workload" with a full custom spec object; count is at
+//	              most 1000 and the body at most 1 MiB
 //	GET  /status?id=N → one job
 //	GET  /jobs        → every job
 //	GET  /fleet       → Stats
@@ -146,6 +147,16 @@ func (s *Server) drive(stop <-chan struct{}, done chan<- struct{}) {
 	}
 }
 
+// Limits on one POST /submit, checked before the server mutex is taken so
+// a single request can neither buffer an unbounded body nor hold the fleet
+// for an unbounded batch.
+const (
+	// maxSubmitBody bounds the request body in bytes (413 beyond it).
+	maxSubmitBody = 1 << 20
+	// maxSubmitCount bounds the jobs one request may submit (400 beyond it).
+	maxSubmitCount = 1000
+)
+
 // submitRequest is the POST /submit body.
 type submitRequest struct {
 	// Workload names a built-in benchmark (SC, OC, ON, SP.B, FT.C).
@@ -156,7 +167,8 @@ type submitRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// WorkScale scales the spec's work volume (default 1).
 	WorkScale float64 `json:"work_scale,omitempty"`
-	// Count submits that many identical jobs (default 1).
+	// Count submits that many identical jobs (default 1, at most
+	// maxSubmitCount).
 	Count int `json:"count,omitempty"`
 }
 
@@ -264,8 +276,12 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("bad body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBody)).Decode(&req); err != nil {
+		status := http.StatusBadRequest
+		if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("bad body: %w", err))
 		return
 	}
 	var spec workload.Spec
@@ -293,8 +309,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative work_scale %g", req.WorkScale))
 		return
 	}
-	if req.Count < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative count %d", req.Count))
+	if req.Count < 0 || req.Count > maxSubmitCount {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("count %d outside [0, %d]", req.Count, maxSubmitCount))
 		return
 	}
 	if req.Workers == 0 {

@@ -3,9 +3,11 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -139,7 +141,7 @@ func TestServerConcurrentSubmissions(t *testing.T) {
 // stream in from several goroutines while pollers hammer every read
 // endpoint — /fleet and /shards read counters the advancing scheduler and
 // its shard workers mutate, so any counter not guarded by the scheduler
-// mutex plus the per-tick shard barrier is a -race failure here (CI runs
+// mutex plus the per-window shard barrier is a -race failure here (CI runs
 // this package with -race).
 func TestServerShardedConcurrentLoad(t *testing.T) {
 	cfg := Config{
@@ -322,6 +324,46 @@ func TestServerSubmitValidation(t *testing.T) {
 				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, c.status, body)
 			}
 		})
+	}
+}
+
+// TestServerSubmitLimits pins the /submit resource bounds: a count one
+// past maxSubmitCount and a body one byte past maxSubmitBody are refused
+// outright, before any job enters the fleet.
+func TestServerSubmitLimits(t *testing.T) {
+	s, ts := newTestServer(t)
+	cases := []struct {
+		name   string
+		body   string
+		status int
+	}{
+		{"count over cap", fmt.Sprintf(`{"workload":"SC","count":%d}`, maxSubmitCount+1), http.StatusBadRequest},
+		// Leading whitespace is valid JSON, so only the size limit can
+		// refuse this body.
+		{"oversized body", strings.Repeat(" ", maxSubmitBody) + `{"workload":"SC"}`, http.StatusRequestEntityTooLarge},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+"/submit", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != c.status {
+				body, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status = %d, want %d (%s)", resp.StatusCode, c.status, body)
+			}
+			s.mu.Lock()
+			jobs := s.fleet.Stats().Jobs
+			s.mu.Unlock()
+			if jobs != 0 {
+				t.Fatalf("refused request admitted %d jobs", jobs)
+			}
+		})
+	}
+	// The cap itself is a legal batch size.
+	if got := postSubmit(t, ts.URL, fmt.Sprintf(`{"workload":"SC","work_scale":0.001,"count":%d}`, maxSubmitCount)); len(got.IDs) != maxSubmitCount {
+		t.Fatalf("count at cap submitted %d jobs, want %d", len(got.IDs), maxSubmitCount)
 	}
 }
 

@@ -91,6 +91,13 @@ func ffScenarios() []ffScenario {
 			// invalidate the cached solve exactly when migrations land.
 			addApp(t, e, "a", ffSpec(30), []topology.NodeID{0, 1}, &policy.AutoNUMA{})
 		}},
+		{"max-time-cut", func(t *testing.T, e *sim.Engine) {
+			// MaxTime lands mid-tick inside a long replayable stretch: the
+			// replay batch must stop short of it so the checked loop times
+			// out on exactly the naive loop's tick.
+			e.Cfg.MaxTime = 20.05
+			addApp(t, e, "a", ffSpec(2000), []topology.NodeID{0, 1}, testPlacer{"uniform-workers"})
+		}},
 	}
 }
 

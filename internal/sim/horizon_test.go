@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"math"
 	"testing"
 
 	"bwap/internal/policy"
@@ -133,40 +132,4 @@ func TestCompletionHorizonZeroWithHooks(t *testing.T) {
 	if h := e.CompletionHorizonTicks(100); h != 0 {
 		t.Fatalf("horizon %d with hooks registered, want 0", h)
 	}
-}
-
-// TestSnapLatFeedbackConvergence pins the v2 bit-compat break's two
-// claims: with SnapLatFeedback the engine replays strictly more ticks on
-// a perturbed workload (the sub-ULP latEpoch churn is gone), and the
-// simulated outcome moves by at most a hair — the multipliers freeze
-// within 64 ULPs of the exact fixed point, so completion times shift at
-// most in the last couple of float digits.
-func TestSnapLatFeedbackConvergence(t *testing.T) {
-	skipIfNoFF(t)
-	run := func(snap bool) (*sim.Result, *sim.Engine) {
-		e := sim.New(topology.MachineB(), sim.Config{Seed: 7, SnapLatFeedback: snap})
-		spec := ffSpec(200) // long enough for the feedback to converge at all
-		spec.Phases = []workload.Phase{
-			{AtWorkFraction: 0.25, DemandFactor: 1.6, LatencyFactor: 0.8},
-			{AtWorkFraction: 0.7, DemandFactor: 0.5, LatencyFactor: 1.4},
-		}
-		addApp(t, e, "a", spec, []topology.NodeID{0, 1}, testPlacer{"uniform-workers"})
-		res, err := e.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, e
-	}
-	base, be := run(false)
-	snap, se := run(true)
-	_, baseReplays := be.FastForwardStats()
-	_, snapReplays := se.FastForwardStats()
-	if snapReplays <= baseReplays {
-		t.Fatalf("snap replays %d ticks, base %d — the snap bought nothing", snapReplays, baseReplays)
-	}
-	bt, st := base.Times["a"], snap.Times["a"]
-	if math.Abs(bt-st) > 1e-6*bt {
-		t.Fatalf("snap moved the completion time materially: %.12g vs %.12g", bt, st)
-	}
-	t.Logf("replays %d -> %d, finish %.9g -> %.9g", baseReplays, snapReplays, bt, st)
 }

@@ -104,16 +104,6 @@ type Config struct {
 	// alive as the reference implementation (the BWAP_NO_FASTFORWARD=1
 	// environment knob forces it on for a whole test run).
 	DisableFastForward bool
-	// SnapLatFeedback freezes the latency-feedback smoothing once an
-	// update would move a multiplier by at most latSnapRel of its value:
-	// the controller has reached its floating-point fixed point for all
-	// practical purposes, and chasing the last few ULPs only keeps
-	// latEpoch churning, which blocks the replay path for dozens of ticks
-	// after every perturbation. This deliberately changes results at the
-	// last-ULP level relative to the default loop — a versioned
-	// bit-compat break, opted into by the fleet's engine v2 (DESIGN.md
-	// §12) and never enabled for the frozen v1 reference logs.
-	SnapLatFeedback bool
 }
 
 // FloatPtr returns a pointer to v, for the Config fields where nil means
@@ -462,8 +452,8 @@ type Result struct {
 // Run places every app, then ticks until all foreground apps complete (or
 // MaxTime elapses). It may be called once per engine. Quiescent stretches
 // are fast-forwarded: the cached flow solve is replayed tick by tick (bit-
-// identical to solving each tick) until the next phase boundary or the
-// analytically predicted completion.
+// identical to solving each tick) until the next phase crossing or
+// completion, never past MaxTime.
 func (e *Engine) Run() (*Result, error) {
 	if err := e.place(); err != nil {
 		return nil, err
@@ -473,7 +463,7 @@ func (e *Engine) Run() (*Result, error) {
 		if e.now >= e.Cfg.MaxTime {
 			return e.result(true), nil
 		}
-		if k := e.QuiescentTicks(e.ticksBefore(e.Cfg.MaxTime)); k > 0 && e.ReplayTicks(k) > 0 {
+		if e.ReplayTicks(e.ticksBefore(e.Cfg.MaxTime)) > 0 {
 			continue
 		}
 		e.tick()
@@ -588,19 +578,20 @@ func (e *Engine) AdvanceTo(t float64) {
 }
 
 // AdvanceToQuiescent advances to time t exactly like AdvanceTo, but
-// fast-forwards quiescent stretches: while the tick inputs are provably
-// unchanged it replays the cached solve in a tight inner loop without
-// per-tick revalidation, stopping at the earliest invalidating boundary
-// (phase/init crossing, predicted completion) and resuming the checked
-// loop there. Byte-identical to AdvanceTo for any t.
-func (e *Engine) AdvanceToQuiescent(t float64) {
-	n := e.remainingTicks(t)
+// fast-forwards quiescent stretches (see AdvanceTicks). Byte-identical to
+// AdvanceTo for any t.
+func (e *Engine) AdvanceToQuiescent(t float64) { e.AdvanceTicks(e.remainingTicks(t)) }
+
+// AdvanceTicks advances exactly n ticks, replaying the memoized solve in a
+// tight inner loop wherever the engine is replayable (ReplayTicks) and
+// falling back to a full Step at every boundary — phase or init crossing,
+// completion, stale solve — re-entering the replay path as soon as a new
+// fixed point is cached. Byte-identical to n Steps.
+func (e *Engine) AdvanceTicks(n int) {
 	for n > 0 {
-		if k := e.QuiescentTicks(n); k > 0 {
-			if ran := e.ReplayTicks(k); ran > 0 {
-				n -= ran
-				continue
-			}
+		if ran := e.ReplayTicks(n); ran > 0 {
+			n -= ran
+			continue
 		}
 		e.tick()
 		n--
@@ -621,8 +612,8 @@ func (e *Engine) remainingTicks(t float64) int {
 }
 
 // ticksBefore returns a conservative count of ticks that keep the clock
-// strictly below t — the bound Run hands to QuiescentTicks so a replay
-// batch never crosses MaxTime.
+// strictly below t — the bound Run hands to ReplayTicks so a replay batch
+// never crosses MaxTime.
 func (e *Engine) ticksBefore(t float64) int {
 	n := (t - e.now) / e.Cfg.DT
 	if !(n > 0) { // also catches NaN
@@ -998,9 +989,10 @@ func (e *Engine) advanceApps() bool {
 
 // feedback applies the queueing-latency feedback: loaded controllers
 // answer slower next tick. latEpoch advances only when some multiplier
-// actually changes; once the exponential smoothing reaches its
-// floating-point fixed point under stable utilization the epoch stands
-// still — one of the quiescence conditions.
+// moves by more than latSnapRel of its value; once the exponential
+// smoothing is that close to its fixed point under stable utilization the
+// multiplier freezes and the epoch stands still — one of the quiescence
+// conditions.
 func (e *Engine) feedback() {
 	sm := e.Cfg.LatSmoothing
 	changed := false
@@ -1008,11 +1000,8 @@ func (e *Engine) feedback() {
 		u = stats.Clamp(u, 0, 1)
 		target := 1 + e.latQF*u*u/(1.02-u)
 		next := (1-sm)*e.latMult[i] + sm*target
-		if next == e.latMult[i] {
-			continue
-		}
-		if e.Cfg.SnapLatFeedback && math.Abs(next-e.latMult[i]) <= latSnapRel*e.latMult[i] {
-			continue // sub-ULP drift: treat the fixed point as reached
+		if math.Abs(next-e.latMult[i]) <= latSnapRel*e.latMult[i] {
+			continue // fixed point reached, up to a few ULPs
 		}
 		e.latMult[i] = next
 		changed = true
@@ -1022,12 +1011,13 @@ func (e *Engine) feedback() {
 	}
 }
 
-// latSnapRel is the SnapLatFeedback freeze threshold: 2⁻⁴⁶ ≈ 64 ULPs for
+// latSnapRel is the latency-feedback freeze threshold: 2⁻⁴⁶ ≈ 64 ULPs for
 // multipliers in [1,2). Geometric smoothing halves the residual each tick,
-// so the snap cuts ~45 ticks of sub-ULP epoch churn per perturbation while
-// pinning the multiplier within 64 ULPs of the exact fixed point; any
-// material utilization shift moves the target far past the threshold and
-// the controller tracks it again immediately.
+// so chasing the exact fixed point would keep latEpoch churning — and the
+// replay path blocked — for ~45 ticks after every perturbation. The snap
+// cuts that churn while pinning the multiplier within 64 ULPs of the exact
+// fixed point; any material utilization shift moves the target far past
+// the threshold and the controller tracks it again immediately.
 const latSnapRel = 0x1p-46
 
 // ReplayTicks advances up to n ticks on the memoized replay path without
@@ -1062,66 +1052,6 @@ func (e *Engine) ReplayTicks(n int) int {
 	return n
 }
 
-// QuiescentTicks returns a conservative count of upcoming ticks (at most
-// max) that are provably interior to the current quiescent interval: the
-// cached solve replays, no app completes, and no phase or init boundary is
-// crossed. The fleet layer uses it to advance whole machines without
-// re-entering the per-tick shard barrier. 0 means "not quiescent" (or a
-// boundary is too close to be worth batching past the checked loop).
-//
-// Completion and phase crossings are predicted analytically from the
-// constant per-tick progress deltas, shaved by a relative safety margin
-// (1e-9, plus two ticks) that dominates worst-case floating-point
-// accumulation drift for any realistic run length; the replay loop's exact
-// per-tick boundary checks backstop the prediction regardless.
-func (e *Engine) QuiescentTicks(limit int) int {
-	if limit <= 0 || !e.ff || len(e.hooks) > 0 || !e.canReplay() {
-		return 0
-	}
-	// Cap each batch so the within-batch float accumulation (≤ batch ×
-	// ulp(share)/2 in progress units) stays orders of magnitude below the
-	// boundaryTicks margin even for extremely slow workers; longer
-	// quiescent spans simply take several batches, each re-predicted from
-	// the live float state.
-	n := min(limit, 1<<20)
-	dt := e.Cfg.DT
-	for _, a := range e.apps {
-		if a.done || !a.placed {
-			continue
-		}
-		if e.inInit(a) {
-			return 0
-		}
-		if a.Background {
-			continue // no progress, no completion, constant phase factors
-		}
-		rawRatio := e.tickRawRatio[a.index]
-		eta := a.Spec.ParallelEfficiency(len(a.Workers))
-		// Replay ticks add a constant delta per worker (identical rates;
-		// migration cost only ever slows progress further, so these deltas
-		// upper-bound it and the tick predictions stay lower bounds).
-		if len(a.Spec.Phases) > 0 && a.workGB > 0 && !math.IsInf(a.nextPhaseGB, 1) {
-			total := 0.0
-			for wi := range a.Workers {
-				total += a.tickByWorker[wi] * rawRatio * eta * dt
-			}
-			n = min(n, boundaryTicks(a.nextPhaseGB-a.Progress(), total))
-		}
-		// Completion fires when the slowest worker reaches its share, so
-		// the largest per-worker lower bound bounds the completion tick.
-		share := a.workGB / float64(len(a.Workers))
-		comp := 0
-		for wi := range a.Workers {
-			if p := a.progressGB[wi]; p < share {
-				delta := a.tickByWorker[wi] * rawRatio * eta * dt
-				comp = max(comp, boundaryTicks(share-p, delta))
-			}
-		}
-		n = min(n, comp)
-	}
-	return n
-}
-
 // CompletionHorizonTicks returns a conservative count of upcoming ticks
 // (at most limit) that provably cannot complete any foreground app, no
 // matter what the flow solver does in between. Solved rates are
@@ -1131,18 +1061,19 @@ func (e *Engine) QuiescentTicks(limit int) int {
 // demand under the worst demand factor actually reachable within the
 // window (see appCompletionHorizon), and completion (every worker at its
 // share) cannot fire before the slowest worker's gap divided by that
-// bound. Unlike QuiescentTicks this needs no quiescence: solves,
-// placement changes, phase and init crossings may all happen inside the
-// horizon; only completions cannot. 0 means a completion may be imminent,
-// or hooks could mutate apps mid-window. The fleet's
-// conservative-lookahead engine (DESIGN.md §12) sizes its barrier-free
+// bound. This needs no quiescence: solves, placement changes, phase and
+// init crossings may all happen inside the horizon; only completions
+// cannot. 0 means a completion may be imminent, or hooks could mutate apps
+// mid-window. The fleet engine (DESIGN.md §12) sizes its barrier-free
 // windows with this bound.
 func (e *Engine) CompletionHorizonTicks(limit int) int {
 	if limit <= 0 || len(e.hooks) > 0 {
 		return 0
 	}
-	// Same batch cap as QuiescentTicks: within-window float accumulation
-	// must stay far below the boundaryTicks margin.
+	// Cap each window so the within-window float accumulation (≤ window ×
+	// ulp(share)/2 in progress units) stays orders of magnitude below the
+	// boundaryTicks margin even for extremely slow workers; longer spans
+	// simply take several windows, each re-predicted from live state.
 	n := min(limit, 1<<20)
 	for _, a := range e.apps {
 		if a.done || !a.placed || a.Background {
@@ -1246,7 +1177,9 @@ func (e *Engine) appCompletionHorizon(a *App, limit int) int {
 }
 
 // boundaryTicks lower-bounds how many constant-delta ticks fit strictly
-// below gap, with the safety margin described at QuiescentTicks.
+// below gap. The relative safety margin (1e-9, plus two ticks) dominates
+// worst-case floating-point accumulation drift for any realistic run
+// length.
 func boundaryTicks(gap, delta float64) int {
 	if !(delta > 0) || !(gap > 0) {
 		return 1 << 40 // no progress toward the boundary: never reached
