@@ -546,8 +546,10 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
-	if workScale <= 0 {
-		return nil, fmt.Errorf("fleet: work scale %g must be positive", workScale)
+	// NaN and +Inf would admit a job whose work never completes, holding
+	// its nodes forever.
+	if !(workScale > 0) || math.IsInf(workScale, 1) {
+		return nil, fmt.Errorf("fleet: work scale %g must be positive and finite", workScale)
 	}
 	if at < f.now {
 		return nil, fmt.Errorf("fleet: arrival %.3f is in the past (now %.3f)", at, f.now)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -336,6 +337,11 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := f.Submit(testSpec("x"), 1, 0, 0); err == nil {
 		t.Fatal("zero work scale accepted")
+	}
+	for _, scale := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := f.Submit(testSpec("x"), 1, scale, 0); err == nil {
+			t.Fatalf("work scale %v accepted", scale)
+		}
 	}
 	if _, err := f.Submit(workload.Spec{}, 1, 1, 0); err == nil {
 		t.Fatal("invalid spec accepted")

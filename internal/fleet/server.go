@@ -155,6 +155,10 @@ const (
 	maxSubmitBody = 1 << 20
 	// maxSubmitCount bounds the jobs one request may submit (400 beyond it).
 	maxSubmitCount = 1000
+	// maxSubmitWorkScale bounds a job's work scale (400 beyond it): a
+	// hundred full work volumes, so no request can park a job that holds
+	// its nodes for practically ever.
+	maxSubmitWorkScale = 100
 )
 
 // submitRequest is the POST /submit body.
@@ -165,7 +169,8 @@ type submitRequest struct {
 	Spec *workload.Spec `json:"spec,omitempty"`
 	// Workers is the per-job NUMA-node demand (default 1).
 	Workers int `json:"workers,omitempty"`
-	// WorkScale scales the spec's work volume (default 1).
+	// WorkScale scales the spec's work volume (default 1, at most
+	// maxSubmitWorkScale).
 	WorkScale float64 `json:"work_scale,omitempty"`
 	// Count submits that many identical jobs (default 1, at most
 	// maxSubmitCount).
@@ -307,6 +312,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.WorkScale < 0 {
 		writeErr(w, http.StatusBadRequest, fmt.Errorf("negative work_scale %g", req.WorkScale))
+		return
+	}
+	if req.WorkScale > maxSubmitWorkScale {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("work_scale %g above %d", req.WorkScale, maxSubmitWorkScale))
 		return
 	}
 	if req.Count < 0 || req.Count > maxSubmitCount {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"bwap/internal/sim"
+	"bwap/internal/workload"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server) {
@@ -338,6 +340,8 @@ func TestServerSubmitLimits(t *testing.T) {
 		status int
 	}{
 		{"count over cap", fmt.Sprintf(`{"workload":"SC","count":%d}`, maxSubmitCount+1), http.StatusBadRequest},
+		{"work_scale over cap", fmt.Sprintf(`{"workload":"SC","work_scale":%d.5}`, maxSubmitWorkScale), http.StatusBadRequest},
+		{"work_scale huge", `{"workload":"OC","work_scale":1e308}`, http.StatusBadRequest},
 		// Leading whitespace is valid JSON, so only the size limit can
 		// refuse this body.
 		{"oversized body", strings.Repeat(" ", maxSubmitBody) + `{"workload":"SC"}`, http.StatusRequestEntityTooLarge},
@@ -360,6 +364,16 @@ func TestServerSubmitLimits(t *testing.T) {
 				t.Fatalf("refused request admitted %d jobs", jobs)
 			}
 		})
+	}
+	// JSON cannot carry NaN or infinities, so Fleet.Submit itself must
+	// refuse them: either would admit a job that never completes.
+	for _, scale := range []float64{math.NaN(), math.Inf(1)} {
+		s.mu.Lock()
+		_, err := s.fleet.Submit(workload.OceanCP, 1, scale, s.fleet.Now())
+		s.mu.Unlock()
+		if err == nil {
+			t.Fatalf("Fleet.Submit accepted work scale %v", scale)
+		}
 	}
 	// The cap itself is a legal batch size.
 	if got := postSubmit(t, ts.URL, fmt.Sprintf(`{"workload":"SC","work_scale":0.001,"count":%d}`, maxSubmitCount)); len(got.IDs) != maxSubmitCount {

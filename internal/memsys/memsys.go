@@ -144,12 +144,6 @@ func (r *Result) TotalRate() float64 {
 	return total
 }
 
-// resource indices within the solver's flat resource table:
-// [0,N)      controllers
-// [N,2N)     ingest caps
-// [2N,2N+L)  links
-func (s *System) resourceCount() int { return 2*s.m.NumNodes() + s.m.NumLinks() }
-
 // Solve computes demand-bounded max-min fair rates for the given flows.
 // Flows with non-positive demand get rate 0. The algorithm is progressive
 // filling: all unfrozen flows grow at the same rate until either a flow's
@@ -169,15 +163,16 @@ func (s *System) Solve(flows []Flow) *Result {
 type Solver struct {
 	sys *System
 
-	// Per-resource scratch, sized once at construction.
+	// Per-resource scratch, sized once at construction. Resources are
+	// indexed as in topology.Machine.ResourcePath.
 	capacity []float64
 	initial  []float64
 	streams  []int
 	load     []int32
+	touched  []int32 // resources some unfrozen flow crosses, ascending
 
 	// Per-flow scratch, grown on demand and reused.
-	pathBuf   []int32 // concatenated resource lists
-	pathOff   []int32 // pathBuf offsets; flow i's path is pathBuf[pathOff[i]:pathOff[i+1]]
+	paths     [][]int32 // flow i's resource list, shared with the Machine
 	remaining []float64
 	activeIdx []int32 // indices of unfrozen flows, ascending
 
@@ -194,7 +189,7 @@ type Solver struct {
 // construction cost is on the hot path.
 func (s *System) NewSolver() *Solver {
 	n := s.m.NumNodes()
-	rc := s.resourceCount()
+	rc := s.m.NumResources()
 	nl := s.m.NumLinks()
 	f := make([]float64, 2*rc+3*n+nl)
 	capacity, f := f[:rc:rc], f[rc:]
@@ -202,12 +197,14 @@ func (s *System) NewSolver() *Solver {
 	cu, f := f[:n:n], f[n:]
 	iu, f := f[:n:n], f[n:]
 	lu, f := f[:nl:nl], f[nl:]
+	ld := make([]int32, 2*rc)
 	return &Solver{
 		sys:      s,
 		capacity: capacity,
 		initial:  initial,
 		streams:  make([]int, n),
-		load:     make([]int32, rc),
+		load:     ld[:rc:rc],
+		touched:  ld[rc:rc],
 		res: Result{
 			ControllerUtil: cu,
 			IngestUtil:     iu,
@@ -215,11 +212,6 @@ func (s *System) NewSolver() *Solver {
 			NodeOutGBs:     f,
 		},
 	}
-}
-
-// path returns flow i's resource list.
-func (sv *Solver) path(i int32) []int32 {
-	return sv.pathBuf[sv.pathOff[i]:sv.pathOff[i+1]]
 }
 
 // Epoch returns the number of Solve calls performed on this solver. The
@@ -269,70 +261,99 @@ func (sv *Solver) Solve(flows []Flow) *Result {
 	initial := sv.initial
 	copy(initial, capacity)
 
-	// Per-flow resource lists (flat) and the active-flow index list.
-	sv.pathOff = grow(sv.pathOff, len(flows)+1)
+	// Per-flow resource lists (the machine's memoized paths; only active
+	// flows' entries are meaningful) and the active-flow index list.
+	paths := grow(sv.paths, len(flows))
+	sv.paths = paths
 	sv.remaining = grow(sv.remaining, len(flows))
 	sv.activeIdx = sv.activeIdx[:0]
-	sv.pathBuf = sv.pathBuf[:0]
-	sv.pathOff[0] = 0
 	for i, f := range flows {
 		if f.Demand > 0 {
-			sv.pathBuf = append(sv.pathBuf, int32(f.Src), int32(n+int(f.Dst)))
-			for _, l := range s.m.Route(f.Src, f.Dst) {
-				sv.pathBuf = append(sv.pathBuf, int32(2*n+int(l)))
-			}
+			paths[i] = s.m.ResourcePath(f.Src, f.Dst)
 			sv.remaining[i] = f.Demand
 			sv.activeIdx = append(sv.activeIdx, int32(i))
 		}
-		sv.pathOff[i+1] = int32(len(sv.pathBuf))
 	}
 
 	// Progressive filling. The per-resource active-flow counts (load) are
 	// maintained incrementally: initialized once, decremented along a
 	// flow's path when it freezes — no per-round rescan of the flow set.
 	load := sv.load
-	for r := range load {
-		load[r] = 0
-	}
+	clear(load)
 	for _, i := range sv.activeIdx {
-		for _, r := range sv.path(i) {
+		for _, r := range paths[i] {
 			load[r]++
+		}
+	}
+	// The per-round minimum visits only the resources some active flow
+	// crosses, in ascending index order — the same shares in the same
+	// order as a scan of the whole table, which skips unloaded resources.
+	// A resource whose load drops to zero never regains it and leaves the
+	// list.
+	touched := sv.touched[:0]
+	for r, k := range load {
+		if k > 0 {
+			touched = append(touched, int32(r))
+		}
+	}
+	// minRem is the smallest remaining demand among active flows. Active
+	// demands are positive, so the minimum is one value whichever flow
+	// holds it; each round's freeze pass computes the next round's.
+	minRem := math.Inf(1)
+	for _, i := range sv.activeIdx {
+		if sv.remaining[i] < minRem {
+			minRem = sv.remaining[i]
 		}
 	}
 	const eps = 1e-9
 	for len(sv.activeIdx) > 0 {
 		// The uniform increment every active flow can take.
 		inc := math.Inf(1)
-		for r, k := range load {
-			if k > 0 {
+		live := touched[:0]
+		for _, r := range touched {
+			if k := load[r]; k > 0 {
 				if share := capacity[r] / float64(k); share < inc {
 					inc = share
 				}
+				live = append(live, r)
 			}
 		}
-		for _, i := range sv.activeIdx {
-			if sv.remaining[i] < inc {
-				inc = sv.remaining[i]
-			}
+		touched = live
+		if minRem < inc {
+			inc = minRem
 		}
 		if inc < 0 {
 			inc = 0
 		}
-		// Apply the increment.
-		for _, i := range sv.activeIdx {
-			res.Rates[i] += inc
-			sv.remaining[i] -= inc
-			for _, r := range sv.path(i) {
-				capacity[r] -= inc
+		// Apply the increment. Each active flow takes inc off every
+		// resource on its path; all decrements are the same value, so a
+		// resource carrying k active flows goes through the same k
+		// subtractions in any order, and they are applied per resource.
+		saturated := false
+		for _, r := range touched {
+			c := capacity[r]
+			for k := load[r]; k > 0; k-- {
+				c -= inc
+			}
+			capacity[r] = c
+			if c <= eps {
+				saturated = true
 			}
 		}
-		// Freeze satisfied flows and flows on saturated resources,
-		// compacting the active list in place (order is preserved).
+		// Grow every active flow, then freeze satisfied flows and flows on
+		// saturated resources, compacting the active list in place (order
+		// is preserved). The touched list holds every resource on an
+		// active flow's path, so with none saturated only satisfied flows
+		// freeze.
 		kept := sv.activeIdx[:0]
+		minRem = math.Inf(1)
 		for _, i := range sv.activeIdx {
-			frozen := sv.remaining[i] <= eps
-			if !frozen {
-				for _, r := range sv.path(i) {
+			res.Rates[i] += inc
+			rem := sv.remaining[i] - inc
+			sv.remaining[i] = rem
+			frozen := rem <= eps
+			if !frozen && saturated {
+				for _, r := range paths[i] {
 					if capacity[r] <= eps {
 						frozen = true
 						break
@@ -340,11 +361,14 @@ func (sv *Solver) Solve(flows []Flow) *Result {
 				}
 			}
 			if frozen {
-				for _, r := range sv.path(i) {
+				for _, r := range paths[i] {
 					load[r]--
 				}
 			} else {
 				kept = append(kept, i)
+				if rem < minRem {
+					minRem = rem
+				}
 			}
 		}
 		if len(kept) == len(sv.activeIdx) {

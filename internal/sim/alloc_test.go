@@ -129,3 +129,16 @@ func BenchmarkSteadyTick(b *testing.B) {
 		e.tick()
 	}
 }
+
+// TestNewAllocations pins engine construction at the seed's ten heap
+// allocations on Machine B. The fleet builds an engine per machine and per
+// placement probe, so construction cost shows in fleet setup time: the
+// solver's resource paths are memoized per Machine (topology's
+// ResourcePath), never rebuilt per System or engine.
+func TestNewAllocations(t *testing.T) {
+	m := topology.MachineB()
+	avg := testing.AllocsPerRun(100, func() { New(m, Config{}) })
+	if avg != 10 {
+		t.Fatalf("sim.New(MachineB) allocates %.1f objects, want 10", avg)
+	}
+}

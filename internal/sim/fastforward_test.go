@@ -47,6 +47,13 @@ func ffSpec(workGB float64) workload.Spec {
 	}
 }
 
+// kappaSpec is ffSpec with latency sensitivity κ.
+func kappaSpec(workGB, kappa float64) workload.Spec {
+	spec := ffSpec(workGB)
+	spec.LatencySensitivity = kappa
+	return spec
+}
+
 func addApp(t *testing.T, e *sim.Engine, name string, spec workload.Spec, workers []topology.NodeID, p sim.Placer) *sim.App {
 	t.Helper()
 	app, err := e.AddApp(name, spec, workers, p)
@@ -90,6 +97,22 @@ func ffScenarios() []ffScenario {
 			// A per-tick hook that migrates pages: placement epochs must
 			// invalidate the cached solve exactly when migrations land.
 			addApp(t, e, "a", ffSpec(30), []topology.NodeID{0, 1}, &policy.AutoNUMA{})
+		}},
+		{"latency-insensitive", func(t *testing.T, e *sim.Engine) {
+			// κ = 0 everywhere: no throttle reads the latency multipliers,
+			// so ticks replay while the feedback still converges after
+			// each start and completion.
+			addApp(t, e, "short", kappaSpec(10, 0), []topology.NodeID{0, 1}, testPlacer{"uniform-all"})
+			addApp(t, e, "long", kappaSpec(160, 0), []topology.NodeID{2, 3}, testPlacer{"uniform-workers"})
+		}},
+		{"mixed-kappa", func(t *testing.T, e *sim.Engine) {
+			// κ = 0 and κ > 0 co-scheduled with staggered completions: the
+			// latency-sensitive app blocks replay through the chase while
+			// it runs; once it completes, the κ = 0 survivors replay
+			// through it.
+			addApp(t, e, "flat-short", kappaSpec(8, 0), []topology.NodeID{0}, testPlacer{"local"})
+			addApp(t, e, "sensitive", kappaSpec(20, 0.6), []topology.NodeID{1, 2}, testPlacer{"uniform-all"})
+			addApp(t, e, "flat-long", kappaSpec(45, 0), []topology.NodeID{3}, testPlacer{"uniform-all"})
 		}},
 		{"max-time-cut", func(t *testing.T, e *sim.Engine) {
 			// MaxTime lands mid-tick inside a long replayable stretch: the
@@ -167,6 +190,11 @@ func TestFastForwardEquivalence(t *testing.T) {
 				}
 				sameCounters(t, appOn.Name, appOn.Counters, appOff.Counters)
 			}
+			for i, m := range onEng.LatMultipliers() {
+				if m != offEng.LatMultipliers()[i] {
+					t.Fatalf("LatMultipliers[%d]: %v (on) != %v (off)", i, m, offEng.LatMultipliers()[i])
+				}
+			}
 			if _, replays := offEng.FastForwardStats(); replays != 0 {
 				t.Fatalf("disabled engine replayed %d ticks", replays)
 			}
@@ -191,6 +219,40 @@ func TestFastForwardEngages(t *testing.T) {
 	if solves > eng.Ticks()/10 {
 		t.Fatalf("only %d of %d ticks replayed (%d solves) on a quiescent run",
 			replays, eng.Ticks(), solves)
+	}
+}
+
+// TestReplayThroughLatencyChase pins the replay path for flow sets no
+// throttle reads the latency multipliers of: two κ = 0 apps, one of which
+// completes early, are advanced 24 ticks from placement. The feedback is
+// still converging throughout (it takes dozens of ticks to settle), yet
+// the engine must solve only when the flow set changes — once at the
+// start and once per completion — and replay every other tick.
+func TestReplayThroughLatencyChase(t *testing.T) {
+	skipIfNoFF(t)
+	const ticks = 24
+	e := sim.New(topology.MachineB(), sim.Config{Seed: 7})
+	short := addApp(t, e, "short", kappaSpec(1.5, 0), []topology.NodeID{0}, testPlacer{"local"})
+	long := addApp(t, e, "long", kappaSpec(400, 0), []topology.NodeID{2, 3}, testPlacer{"uniform-workers"})
+	for _, a := range []*sim.App{short, long} {
+		if err := e.PlaceApp(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.AdvanceTicks(ticks)
+	if !short.Done() || long.Done() {
+		t.Fatalf("want exactly the short app done after %d ticks (short %v, long %v)",
+			ticks, short.Done(), long.Done())
+	}
+	stateChanges := 1 // the short app's completion
+	solves, replays := e.FastForwardStats()
+	t.Logf("solves %d, replays %d", solves, replays)
+	if solves+replays != ticks {
+		t.Fatalf("solves %d + replays %d != %d ticks", solves, replays, ticks)
+	}
+	if solves > stateChanges+1 {
+		t.Fatalf("%d solves over %d ticks with %d flow-set changes; the latency chase forced re-solves",
+			solves, ticks, stateChanges)
 	}
 }
 

@@ -281,24 +281,28 @@ type Engine struct {
 	solver       *memsys.Solver
 	flows        []memsys.Flow
 	metas        []flowMeta
+	incrs        []flowIncr // indexed like metas
 	tickAchieved []float64
 	tickRawRatio []float64
 
 	// Quiescent-interval fast-forward state. A tick whose inputs (app set,
-	// placements, phase factors, latency multipliers) are unchanged since
-	// the cached solve replays the cached per-flow rates — the same
-	// floating-point additions in the same order, so results stay
-	// byte-identical — instead of rebuilding flows and solving again.
-	ff         bool           // fast-forward enabled
-	lastRes    *memsys.Result // cached solve; owned by e.solver
-	solveValid bool           // lastRes matches flows/metas from a real solve
-	stateEpoch uint64         // app set / placement lifecycle epoch
-	latEpoch   uint64         // bumped when latency feedback changes latMult
-	solveState uint64         // stateEpoch captured at the cached solve
-	solveLat   uint64         // latEpoch captured at the cached solve
-	solveSolve uint64         // solver epoch captured at the cached solve
-	ffSolves   int            // ticks that ran a full flow build + solve
-	ffReplays  int            // ticks served from the cached solve
+	// placements, phase factors, the latency multipliers any throttle
+	// reads) are unchanged since the cached solve replays the cached
+	// per-flow rates — the same floating-point additions in the same order,
+	// so results stay byte-identical — instead of rebuilding flows and
+	// solving again.
+	ff            bool           // fast-forward enabled
+	lastRes       *memsys.Result // cached solve; owned by e.solver
+	solveValid    bool           // lastRes matches flows/metas from a real solve
+	stateEpoch    uint64         // app set / placement lifecycle epoch
+	latEpoch      uint64         // bumped when latency feedback changes latMult
+	solveState    uint64         // stateEpoch captured at the cached solve
+	solveLat      uint64         // latEpoch captured at the cached solve
+	solveSolve    uint64         // solver epoch captured at the cached solve
+	solveReadsLat bool           // some throttle of the cached solve read latMult
+	latSettled    bool           // feedback on lastRes has reached its fixed point
+	ffSolves      int            // ticks that ran a full flow build + solve
+	ffReplays     int            // ticks served from the cached solve
 }
 
 type rngState struct{ next uint64 }
@@ -675,16 +679,24 @@ type flowMeta struct {
 	readFrac float64
 }
 
+// flowIncr is one flow's per-tick PMU counter increments, planned once per
+// solve (planAttribution): controller-equivalent bytes, and the raw bytes
+// split into reads and writes.
+type flowIncr struct {
+	bytes, raw, read, write float64
+}
+
 // tick advances the simulation by one DT. All intermediate state lives in
 // buffers reused across ticks: at steady state a tick performs no heap
 // allocation (pinned by TestTickAllocationFree).
 //
 // The tick is memoized: when canReplay proves the flow-solve inputs are
 // bit-identical to the cached solve's, the expensive half (flow rebuild,
-// segment Fractions, throttle, memsys.Solve) is skipped and the cached
-// per-flow rates are replayed through the same attribution, progress and
-// feedback code — the identical floating-point additions in the identical
-// order, so a replayed tick is byte-equal to a solved one by construction.
+// segment Fractions, throttle, memsys.Solve, attribution planning) is
+// skipped and the cached per-flow increments are replayed through the same
+// attribution, progress and feedback code — the identical floating-point
+// additions in the identical order, so a replayed tick is byte-equal to a
+// solved one by construction.
 func (e *Engine) tick() {
 	e.prepare()
 	if e.ff && e.canReplay() {
@@ -693,11 +705,14 @@ func (e *Engine) tick() {
 		e.buildFlows()
 		e.lastRes = e.solver.Solve(e.flows)
 		e.ffSolves++
+		e.planAttribution()
 		e.noteSolve()
 	}
 	e.attribute()
 	e.advanceApps()
-	e.feedback()
+	if !e.latSettled {
+		e.feedback()
+	}
 	for _, he := range e.hooks {
 		he.h.Tick(e)
 	}
@@ -821,9 +836,16 @@ func (e *Engine) noteSolve() {
 	e.solveState = e.stateEpoch
 	e.solveLat = e.latEpoch
 	e.solveSolve = e.solver.Epoch()
+	e.solveReadsLat = false
+	e.latSettled = false
 	for _, a := range e.apps {
 		if a.done || !a.placed {
 			continue
+		}
+		// The exact argument buildFlows handed throttle, which reads
+		// latMult unless it is <= 0 (NaN included, as in throttle).
+		if !(a.Spec.LatencySensitivity*a.solveKappa <= 0) {
+			e.solveReadsLat = true
 		}
 		a.solveASEpoch = a.AS.PlacementEpoch()
 		a.nextPhaseGB = math.Inf(1)
@@ -843,12 +865,18 @@ func (e *Engine) noteSolve() {
 // the ones buildFlows would produce right now: same app set and lifecycle
 // state (stateEpoch), same placements (per-address-space epochs), same
 // phase/init demand factors, and the same latency multipliers the throttle
-// would read (latEpoch — unchanged exactly when the feedback loop reached
-// its floating-point fixed point). Identical inputs make the solver — a
-// deterministic function — return identical rates, so replaying the cache
-// is equality, not approximation.
+// would read. The multipliers matter only if some live app's throttle
+// argument (LatencySensitivity × phase latency factor) is positive: at or
+// below zero throttle returns 1 without reading them, so a latEpoch that
+// moved while the feedback converges — the chase after every event — does
+// not disqualify a solve none of whose flows it can reach. Otherwise
+// latEpoch must be unchanged, which holds exactly when the feedback loop
+// reached its floating-point fixed point. Identical inputs make the solver
+// — a deterministic function — return identical rates, so replaying the
+// cache is equality, not approximation.
 func (e *Engine) canReplay() bool {
-	if !e.solveValid || e.stateEpoch != e.solveState || e.latEpoch != e.solveLat ||
+	if !e.solveValid || e.stateEpoch != e.solveState ||
+		(e.solveReadsLat && e.latEpoch != e.solveLat) ||
 		e.solveSolve != e.solver.Epoch() {
 		return false
 	}
@@ -867,40 +895,53 @@ func (e *Engine) canReplay() bool {
 	return true
 }
 
-// attribute spreads the solved per-flow rates over apps, workers and PMU
-// counters. Progress is accounted in raw bytes (reads+writes), so
-// write-heavy workloads pay the controller's write penalty in completion
-// time.
-func (e *Engine) attribute() {
+// planAttribution spreads the solved per-flow rates over apps and workers
+// and precomputes each flow's per-tick counter increments. It runs once
+// per solve: every input is fixed until the next one, so the ticks that
+// replay the solve reuse the plan through attribute. Progress is accounted
+// in raw bytes (reads+writes), so write-heavy workloads pay the
+// controller's write penalty in completion time.
+func (e *Engine) planAttribution() {
 	dt := e.Cfg.DT
-	flows, metas := e.flows, e.metas
-	res := e.lastRes
+	rates := e.lastRes.Rates
 	achieved := e.tickAchieved
 	rawRatioOf := e.tickRawRatio
 	for _, a := range e.apps {
 		achieved[a.index] = 0
 		rawRatioOf[a.index] = 0
-		for wi := range a.tickByWorker {
-			a.tickByWorker[wi] = 0
-		}
+		clear(a.tickByWorker)
 	}
-	for i := range flows {
-		meta := &metas[i]
-		rate := res.Rates[i]
+	if cap(e.incrs) < len(e.metas) {
+		e.incrs = make([]flowIncr, len(e.metas), cap(e.metas))
+	}
+	e.incrs = e.incrs[:len(e.metas)]
+	for i := range e.metas {
+		meta, in := &e.metas[i], &e.incrs[i]
+		rate := rates[i]
 		achieved[meta.app.index] += rate
 		meta.app.tickByWorker[meta.wi] += rate
 		rawRatioOf[meta.app.index] = meta.rawRatio
-		bytes := rate * 1e9 * dt
+		in.bytes = rate * 1e9 * dt
+		in.raw = in.bytes * meta.rawRatio
+		in.read = in.raw * meta.readFrac
+		in.write = in.raw * (1 - meta.readFrac)
+	}
+}
+
+// attribute adds one tick of the planned per-flow increments to the PMU
+// counters, in flow order.
+func (e *Engine) attribute() {
+	for i := range e.metas {
+		meta, in := &e.metas[i], &e.incrs[i]
 		c := meta.app.Counters
-		c.NodeOutBytes[meta.src] += bytes
-		c.PairBytes[meta.src][meta.dst] += bytes
-		raw := bytes * meta.rawRatio
-		c.BytesRead += raw * meta.readFrac
-		c.BytesWritten += raw * (1 - meta.readFrac)
+		c.NodeOutBytes[meta.src] += in.bytes
+		c.PairBytes[meta.src][meta.dst] += in.bytes
+		c.BytesRead += in.read
+		c.BytesWritten += in.write
 		if meta.private {
-			c.PrivateBytes += raw
+			c.PrivateBytes += in.raw
 		} else {
-			c.SharedBytes += raw
+			c.SharedBytes += in.raw
 		}
 	}
 }
@@ -923,8 +964,8 @@ func (e *Engine) advanceApps() bool {
 		// always keeps making some progress, as the kernel's rate-limited
 		// migration does).
 		a.migBacklogGB += float64(a.AS.DrainMigratedBytes()) / 1e9
-		migCost := math.Min(a.migBacklogGB, e.Cfg.MigrationGBs*dt)
-		migCost = math.Min(migCost, 0.5*ach*dt)
+		migCost := min(a.migBacklogGB, e.Cfg.MigrationGBs*dt)
+		migCost = min(migCost, 0.5*ach*dt)
 		a.migBacklogGB -= migCost
 		achEff := ach - migCost/dt
 
@@ -992,7 +1033,10 @@ func (e *Engine) advanceApps() bool {
 // moves by more than latSnapRel of its value; once the exponential
 // smoothing is that close to its fixed point under stable utilization the
 // multiplier freezes and the epoch stands still — one of the quiescence
-// conditions.
+// conditions. A call that changes nothing sets latSettled: every later
+// call on the same solve's utilizations would compute the same targets
+// from the same multipliers and change nothing either, so the tick loops
+// skip it until the next solve (noteSolve) clears the flag.
 func (e *Engine) feedback() {
 	sm := e.Cfg.LatSmoothing
 	changed := false
@@ -1009,6 +1053,7 @@ func (e *Engine) feedback() {
 	if changed {
 		e.latEpoch++
 	}
+	e.latSettled = !changed
 }
 
 // latSnapRel is the latency-feedback freeze threshold: 2⁻⁴⁶ ≈ 64 ULPs for
@@ -1021,9 +1066,13 @@ func (e *Engine) feedback() {
 const latSnapRel = 0x1p-46
 
 // ReplayTicks advances up to n ticks on the memoized replay path without
-// per-tick revalidation: no epoch checks, no latency feedback (provably a
-// no-op while quiescent) and no hook dispatch. It stops after a tick that
-// hits a boundary — an app completing or crossing a phase threshold, both
+// per-tick revalidation: no epoch checks and no hook dispatch. The latency
+// feedback keeps running until one call changes nothing (latSettled) and
+// is a provable no-op from then on: a replay may start while the
+// multipliers are still converging, when no throttle of the cached solve
+// reads them (canReplay), and the multiplier sequence LatMultipliers
+// exposes must match the solving loop's. It stops after a tick that hits
+// a boundary — an app completing or crossing a phase threshold, both
 // detected exactly from the live progress values — and returns the number
 // of ticks advanced. 0 means the engine is not replayable right now
 // (stale solve, hooks registered, or an app inside its init burst);
@@ -1042,6 +1091,9 @@ func (e *Engine) ReplayTicks(n int) int {
 	for i := 0; i < n; i++ {
 		e.attribute()
 		boundary := e.advanceApps()
+		if !e.latSettled {
+			e.feedback()
+		}
 		e.now += dt
 		e.ticks++
 		e.ffReplays++

@@ -67,6 +67,10 @@ type Machine struct {
 	// key derivation.
 	fpOnce sync.Once
 	fp     string
+	// paths memoizes ResourcePath, indexed like routes, for the same
+	// reason: the solver needs a flow's resource list on every solve.
+	pathsOnce sync.Once
+	paths     [][][]int32
 }
 
 // NumNodes returns the number of NUMA nodes.
