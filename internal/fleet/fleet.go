@@ -546,6 +546,12 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("fleet: %w", err)
 	}
+	// A compute-bound spec is a background co-runner that never finishes:
+	// as a job it would hold its nodes forever, and its placement probe has
+	// no foreground app to time.
+	if spec.ComputeBound {
+		return nil, fmt.Errorf("fleet: workload %s is compute-bound and would never finish", spec.Name)
+	}
 	// NaN and +Inf would admit a job whose work never completes, holding
 	// its nodes forever.
 	if !(workScale > 0) || math.IsInf(workScale, 1) {

@@ -346,6 +346,17 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := f.Submit(workload.Spec{}, 1, 1, 0); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
+	// A background co-runner never finishes: as a job it would hold its
+	// nodes forever.
+	if _, err := f.Submit(workload.Swaptions, 1, 1, 0); err == nil {
+		t.Fatal("compute-bound spec accepted")
+	}
+	if err := f.Conservation(); err != nil {
+		t.Fatalf("refused submissions broke job conservation: %v", err)
+	}
+	if n := f.Stats().Jobs; n != 0 {
+		t.Fatalf("refused submissions registered %d jobs", n)
+	}
 	if _, err := New(Config{Policy: "nope"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}

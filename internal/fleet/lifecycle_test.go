@@ -433,10 +433,9 @@ func chaosTestPlan() *FaultPlan {
 }
 
 // chaosShardConfig is shardConfig plus the chaos plan.
-func chaosShardConfig(shards, workers int, disableFF bool) Config {
+func chaosShardConfig(shards, workers int) Config {
 	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, workers, 31)
 	cfg.Faults = chaosTestPlan()
-	cfg.SimCfg.DisableFastForward = disableFF
 	return cfg
 }
 
@@ -444,55 +443,45 @@ func chaosShardConfig(shards, workers int, disableFF bool) Config {
 // fleet through drain/crash/recover/add churn in small Advance windows,
 // the job-conservation invariant must hold at every barrier — submitted =
 // pending + queued + retry-wait + running + completed + failed, counters
-// consistent — and every job must reach a terminal state in the end. Runs
-// with fast-forward on and off and demands bit-identical logs.
+// consistent — and every job must reach a terminal state in the end. The
+// stepped log must match the naive loop's pin for the same plan.
 func TestConservationUnderChaos(t *testing.T) {
-	ffForcedOff := os.Getenv("BWAP_NO_FASTFORWARD") == "1"
-	var logs [][]byte
-	for _, disableFF := range []bool{true, false} {
-		f, err := New(chaosShardConfig(2, 2, disableFF))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SubmitStream(shardStreams()); err != nil {
-			t.Fatal(err)
+	f, err := New(chaosShardConfig(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.SubmitStream(shardStreams()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Conservation(); err != nil {
+		t.Fatalf("before start: %v", err)
+	}
+	for f.Now() < 120 {
+		if err := f.Advance(0.7); err != nil {
+			t.Fatalf("advance at t=%.1f: %v", f.Now(), err)
 		}
 		if err := f.Conservation(); err != nil {
-			t.Fatalf("disableFF=%v: before start: %v", disableFF, err)
+			t.Fatalf("at t=%.1f: %v", f.Now(), err)
 		}
-		for f.Now() < 120 {
-			if err := f.Advance(0.7); err != nil {
-				t.Fatalf("disableFF=%v: advance at t=%.1f: %v", disableFF, f.Now(), err)
-			}
-			if err := f.Conservation(); err != nil {
-				t.Fatalf("disableFF=%v: at t=%.1f: %v", disableFF, f.Now(), err)
-			}
-		}
-		stats, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Conservation(); err != nil {
-			t.Fatalf("disableFF=%v: after drain: %v", disableFF, err)
-		}
-		if stats.Completed+stats.FailedJobs != stats.Jobs {
-			t.Fatalf("disableFF=%v: %d jobs, %d completed + %d failed: some never reached a terminal state",
-				disableFF, stats.Jobs, stats.Completed, stats.FailedJobs)
-		}
-		if stats.Evacuations == 0 && stats.Retries == 0 {
-			t.Fatalf("disableFF=%v: chaos plan touched no jobs; the property is vacuous", disableFF)
-		}
-		if stats.Machines != 9 {
-			t.Fatalf("disableFF=%v: %d machines after the add, want 9", disableFF, stats.Machines)
-		}
-		logs = append(logs, f.LogBytes())
 	}
-	if ffForcedOff {
-		return // both runs used the naive path; the comparison is vacuous
+	stats, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !bytes.Equal(logs[0], logs[1]) {
-		t.Fatal("fast-forward changed the chaos log")
+	if err := f.Conservation(); err != nil {
+		t.Fatalf("after drain: %v", err)
 	}
+	if stats.Completed+stats.FailedJobs != stats.Jobs {
+		t.Fatalf("%d jobs, %d completed + %d failed: some never reached a terminal state",
+			stats.Jobs, stats.Completed, stats.FailedJobs)
+	}
+	if stats.Evacuations == 0 && stats.Retries == 0 {
+		t.Fatal("chaos plan touched no jobs; the property is vacuous")
+	}
+	if stats.Machines != 9 {
+		t.Fatalf("%d machines after the add, want 9", stats.Machines)
+	}
+	checkNaivePin(t, "chaos", f.LogBytes())
 }
 
 // TestChaosTraceReplayShardInvariance extends the replay-equivalence suite
@@ -500,7 +489,7 @@ func TestConservationUnderChaos(t *testing.T) {
 // and rerun with the same FaultPlan, reproduces itself bit for bit at
 // 1, 2 and 4 shards.
 func TestChaosTraceReplayShardInvariance(t *testing.T) {
-	rec, stats := runFleet(t, chaosShardConfig(1, 1, false), shardStreams())
+	rec, stats := runFleet(t, chaosShardConfig(1, 1), shardStreams())
 	if stats.Evacuations == 0 && stats.Retries == 0 {
 		t.Fatal("recorded run hit no faults; shard invariance would be vacuous")
 	}
@@ -518,7 +507,7 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		f, _ := runFleet(t, chaosShardConfig(shards, shards, false), trace)
+		f, _ := runFleet(t, chaosShardConfig(shards, shards), trace)
 		if !bytes.Equal(rec.LogBytes(), f.LogBytes()) {
 			t.Fatalf("chaos replay at %d shards changed the log\n--- recorded ---\n%s\n--- replay ---\n%s",
 				shards, rec.LogBytes(), f.LogBytes())
@@ -529,7 +518,7 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 // TestLifecycleRecordsWellFormed drives the chaos plan once and checks the
 // structural contract of the new record kinds.
 func TestLifecycleRecordsWellFormed(t *testing.T) {
-	f, _ := runFleet(t, chaosShardConfig(2, 1, false), shardStreams())
+	f, _ := runFleet(t, chaosShardConfig(2, 1), shardStreams())
 	recs, err := DecodeLog(f.LogBytes())
 	if err != nil {
 		t.Fatal(err)

@@ -27,8 +27,10 @@ import (
 //
 //	POST /submit  {"workload":"SC","workers":2,"work_scale":0.05,"count":1}
 //	              → {"ids":[1],"cache_hits":[false]}; "spec" may replace
-//	              "workload" with a full custom spec object; count is at
-//	              most 1000 and the body at most 1 MiB
+//	              "workload" with a full custom spec object (not
+//	              compute-bound); count is at most 1000, work_scale at
+//	              most 100, a job's scaled work at most 320000 GB and
+//	              the body at most 1 MiB
 //	GET  /status?id=N → one job
 //	GET  /jobs        → every job
 //	GET  /fleet       → Stats
@@ -159,6 +161,11 @@ const (
 	// hundred full work volumes, so no request can park a job that holds
 	// its nodes for practically ever.
 	maxSubmitWorkScale = 100
+	// maxSubmitWorkGB bounds a job's scaled work volume (400 beyond it):
+	// maxSubmitWorkScale times the largest Table I volume (Streamcluster's
+	// 3200 GB) — the most a named-workload request can ask for — so a
+	// custom spec cannot sidestep the work-scale cap with a huge WorkGB.
+	maxSubmitWorkGB = maxSubmitWorkScale * 3200
 )
 
 // submitRequest is the POST /submit body.
@@ -330,6 +337,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Count == 0 {
 		req.Count = 1
+	}
+	if work := spec.WorkGB * req.WorkScale; work > maxSubmitWorkGB {
+		writeErr(w, http.StatusBadRequest, fmt.Errorf("work %g GB above %d GB", work, maxSubmitWorkGB))
+		return
 	}
 
 	// The batch runs under the mutex; the response write happens after it

@@ -17,7 +17,7 @@ import (
 // fleet mid-advance, and without -race it still exercises the
 // stalled-scraper-vs-driver interleaving.
 func TestServerScrapeDuringChaosEngineV2(t *testing.T) {
-	cfg := chaosShardConfig(2, 2, false)
+	cfg := chaosShardConfig(2, 2)
 	var spans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
 	f, err := New(cfg)

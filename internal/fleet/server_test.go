@@ -334,6 +334,13 @@ func TestServerSubmitValidation(t *testing.T) {
 // outright, before any job enters the fleet.
 func TestServerSubmitLimits(t *testing.T) {
 	s, ts := newTestServer(t)
+	largest := 0.0
+	for _, spec := range workload.Benchmarks() {
+		largest = max(largest, spec.WorkGB)
+	}
+	if maxSubmitWorkGB != maxSubmitWorkScale*largest {
+		t.Fatalf("maxSubmitWorkGB = %d, want maxSubmitWorkScale × the largest Table I volume (%g GB)", maxSubmitWorkGB, largest)
+	}
 	cases := []struct {
 		name   string
 		body   string
@@ -342,6 +349,13 @@ func TestServerSubmitLimits(t *testing.T) {
 		{"count over cap", fmt.Sprintf(`{"workload":"SC","count":%d}`, maxSubmitCount+1), http.StatusBadRequest},
 		{"work_scale over cap", fmt.Sprintf(`{"workload":"SC","work_scale":%d.5}`, maxSubmitWorkScale), http.StatusBadRequest},
 		{"work_scale huge", `{"workload":"OC","work_scale":1e308}`, http.StatusBadRequest},
+		// A custom spec's work volume is bounded like a named workload's
+		// scaled one.
+		{"custom work over cap", fmt.Sprintf(`{"spec":{"Name":"big","ReadGBs":1,"WorkGB":%d,"SharedGB":0.01}}`, maxSubmitWorkGB+1), http.StatusBadRequest},
+		{"custom work huge", `{"spec":{"Name":"big","ReadGBs":1,"WorkGB":1e300,"SharedGB":0.01},"workers":1}`, http.StatusBadRequest},
+		{"scaled custom work over cap", fmt.Sprintf(`{"spec":{"Name":"big","ReadGBs":1,"WorkGB":%d,"SharedGB":0.01},"work_scale":%d}`, maxSubmitWorkGB/maxSubmitWorkScale+1, maxSubmitWorkScale), http.StatusBadRequest},
+		// A background co-runner never finishes, so it cannot be a job.
+		{"compute-bound spec", `{"spec":{"Name":"cb","ReadGBs":1,"WorkGB":1,"SharedGB":0.01,"ComputeBound":true},"workers":1}`, http.StatusBadRequest},
 		// Leading whitespace is valid JSON, so only the size limit can
 		// refuse this body.
 		{"oversized body", strings.Repeat(" ", maxSubmitBody) + `{"workload":"SC"}`, http.StatusRequestEntityTooLarge},
@@ -362,6 +376,12 @@ func TestServerSubmitLimits(t *testing.T) {
 			s.mu.Unlock()
 			if jobs != 0 {
 				t.Fatalf("refused request admitted %d jobs", jobs)
+			}
+			s.mu.Lock()
+			err = s.fleet.Conservation()
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatalf("refused request broke job conservation: %v", err)
 			}
 		})
 	}

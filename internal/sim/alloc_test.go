@@ -57,6 +57,11 @@ func TestTickAllocationFree(t *testing.T) {
 	if avg != 0 {
 		t.Fatalf("steady-state tick allocates %.2f objects/op, want 0", avg)
 	}
+	// The solving half of the tick, which replay skips once the engine
+	// goes quiescent.
+	if avg := testing.AllocsPerRun(200, func() { naiveTick(e) }); avg != 0 {
+		t.Fatalf("solving tick allocates %.2f objects/op, want 0", avg)
+	}
 }
 
 // TestTickAllocationFreeCoScheduled repeats the check with two apps
@@ -89,12 +94,9 @@ func TestTickAllocationFreeCoScheduled(t *testing.T) {
 
 // TestReplayAllocationFree pins the fast-forward acceptance criterion on
 // allocations: the memoized replay inner loop — both the checked per-tick
-// path and the unchecked ReplayTicks batch — performs zero heap
+// path and the unchecked replayTicks batch — performs zero heap
 // allocations, and the ticks measured really are replays, not solves.
 func TestReplayAllocationFree(t *testing.T) {
-	if noFastForwardEnv() {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path")
-	}
 	e := newSteadyEngine(t)
 	// Tick until the latency feedback reaches its fixed point and the
 	// engine goes quiescent.
@@ -112,8 +114,8 @@ func TestReplayAllocationFree(t *testing.T) {
 	if after-before < 200 {
 		t.Fatalf("only %d of 200+ measured ticks were replays", after-before)
 	}
-	if avg := testing.AllocsPerRun(50, func() { e.ReplayTicks(20) }); avg != 0 {
-		t.Fatalf("ReplayTicks batch allocates %.2f objects/op, want 0", avg)
+	if avg := testing.AllocsPerRun(50, func() { e.replayTicks(20) }); avg != 0 {
+		t.Fatalf("replayTicks batch allocates %.2f objects/op, want 0", avg)
 	}
 }
 

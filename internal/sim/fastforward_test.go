@@ -2,7 +2,6 @@ package sim_test
 
 import (
 	"math"
-	"os"
 	"testing"
 
 	"bwap/internal/perf"
@@ -12,31 +11,17 @@ import (
 	"bwap/internal/workload"
 )
 
-// The fast-forward equivalence tests pin the tentpole acceptance
-// criterion at the engine layer: with fast-forward on, every Result,
-// counter and clock value must be byte-identical to the naive
-// solve-every-tick loop, across phase changes, init bursts, co-scheduled
-// contention, migration backlogs and hook-driven placement churn.
+// The fast-forward equivalence tests pin the engine's memoized tick loop
+// to the naive solve-every-tick oracle (sim.NaiveTick, sim.NaiveRun):
+// every Result, counter and clock value must be byte-identical across
+// phase changes, init bursts, co-scheduled contention, migration backlogs
+// and hook-driven placement churn.
 
 // ffScenario populates an engine with a workload mix; the same function
-// runs once with fast-forward enabled and once disabled.
+// runs once on the engine and once on the naive oracle.
 type ffScenario struct {
 	name  string
 	build func(t *testing.T, e *sim.Engine)
-}
-
-// skipIfNoFF skips the fast-forward tests when the BWAP_NO_FASTFORWARD=1
-// CI knob is set: the knob overrides Config.DisableFastForward in
-// withDefaults, so under it every engine takes the naive path and an
-// on-vs-off comparison would silently compare naive against naive —
-// passing without exercising the replay code at all. The knob run's job
-// is the rest of the suite on the reference loop; these tests belong to
-// the normal run.
-func skipIfNoFF(t *testing.T) {
-	t.Helper()
-	if os.Getenv("BWAP_NO_FASTFORWARD") == "1" {
-		t.Skip("BWAP_NO_FASTFORWARD=1 forces the naive path everywhere; on-vs-off comparison would be vacuous")
-	}
 }
 
 func ffSpec(workGB float64) workload.Spec {
@@ -124,11 +109,17 @@ func ffScenarios() []ffScenario {
 	}
 }
 
-func runFF(t *testing.T, sc ffScenario, disable bool) (*sim.Result, *sim.Engine) {
+// runFF runs the scenario to completion with Run, or with the naive
+// oracle when naive is set.
+func runFF(t *testing.T, sc ffScenario, naive bool) (*sim.Result, *sim.Engine) {
 	t.Helper()
-	e := sim.New(topology.MachineB(), sim.Config{Seed: 7, DisableFastForward: disable})
+	e := sim.New(topology.MachineB(), sim.Config{Seed: 7})
 	sc.build(t, e)
-	res, err := e.Run()
+	run := e.Run
+	if naive {
+		run = func() (*sim.Result, error) { return sim.NaiveRun(e) }
+	}
+	res, err := run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,48 +147,60 @@ func sameCounters(t *testing.T, name string, a, b *perf.Counters) {
 	}
 }
 
+// sameBits reports whether a and b hold the same float64 bit pattern.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// sameEngine fails unless got's clock, latency multipliers and every app's
+// progress, completion state and PMU counters are bit-identical to want's.
+func sameEngine(t *testing.T, got, want *sim.Engine) {
+	t.Helper()
+	if !sameBits(got.Now(), want.Now()) || got.Ticks() != want.Ticks() {
+		t.Fatalf("clock diverges: %v/%d vs %v/%d", got.Now(), got.Ticks(), want.Now(), want.Ticks())
+	}
+	for i, m := range got.LatMultipliers() {
+		if !sameBits(m, want.LatMultipliers()[i]) {
+			t.Fatalf("LatMultipliers[%d]: %v != %v", i, m, want.LatMultipliers()[i])
+		}
+	}
+	if len(got.Apps()) != len(want.Apps()) {
+		t.Fatalf("%d apps vs %d", len(got.Apps()), len(want.Apps()))
+	}
+	for i, a := range got.Apps() {
+		b := want.Apps()[i]
+		for wi := range a.Workers {
+			if !sameBits(a.WorkerProgress(wi), b.WorkerProgress(wi)) {
+				t.Fatalf("%s: worker %d progress %v != %v", a.Name, wi, a.WorkerProgress(wi), b.WorkerProgress(wi))
+			}
+		}
+		if a.Done() != b.Done() || (a.Done() && !sameBits(a.FinishTime(), b.FinishTime())) {
+			t.Fatalf("%s: done %v at %v vs done %v at %v", a.Name, a.Done(), a.FinishTime(), b.Done(), b.FinishTime())
+		}
+		sameCounters(t, a.Name, a.Counters, b.Counters)
+	}
+}
+
 // TestFastForwardEquivalence pins byte-equality of the memoized tick loop
-// against the naive reference across every scenario class the engine
-// models.
+// against the naive oracle across every scenario class the engine models.
 func TestFastForwardEquivalence(t *testing.T) {
-	skipIfNoFF(t)
 	for _, sc := range ffScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
-			on, onEng := runFF(t, sc, false)
-			off, offEng := runFF(t, sc, true)
+			got, eng := runFF(t, sc, false)
+			want, ref := runFF(t, sc, true)
 
-			if on.Elapsed != off.Elapsed || on.TimedOut != off.TimedOut {
-				t.Fatalf("run shape diverges: %+v vs %+v", on, off)
+			if got.Elapsed != want.Elapsed || got.TimedOut != want.TimedOut {
+				t.Fatalf("run shape diverges: %+v vs %+v", got, want)
 			}
-			for name, tOn := range on.Times {
-				if tOff, ok := off.Times[name]; !ok || tOn != tOff {
-					t.Fatalf("Times[%s]: %v (on) != %v (off)", name, tOn, tOff)
+			for name, tg := range got.Times {
+				if tw, ok := want.Times[name]; !ok || tg != tw {
+					t.Fatalf("Times[%s]: %v != %v (naive)", name, tg, tw)
 				}
 			}
-			for name, sOn := range on.AvgStallRate {
-				if sOff := off.AvgStallRate[name]; sOn != sOff {
-					t.Fatalf("AvgStallRate[%s]: %v (on) != %v (off)", name, sOn, sOff)
+			for name, sg := range got.AvgStallRate {
+				if sw := want.AvgStallRate[name]; sg != sw {
+					t.Fatalf("AvgStallRate[%s]: %v != %v (naive)", name, sg, sw)
 				}
 			}
-			if onEng.Now() != offEng.Now() || onEng.Ticks() != offEng.Ticks() {
-				t.Fatalf("clock diverges: %v/%d vs %v/%d",
-					onEng.Now(), onEng.Ticks(), offEng.Now(), offEng.Ticks())
-			}
-			for i, appOn := range onEng.Apps() {
-				appOff := offEng.Apps()[i]
-				if appOn.Progress() != appOff.Progress() {
-					t.Fatalf("%s: progress %v != %v", appOn.Name, appOn.Progress(), appOff.Progress())
-				}
-				sameCounters(t, appOn.Name, appOn.Counters, appOff.Counters)
-			}
-			for i, m := range onEng.LatMultipliers() {
-				if m != offEng.LatMultipliers()[i] {
-					t.Fatalf("LatMultipliers[%d]: %v (on) != %v (off)", i, m, offEng.LatMultipliers()[i])
-				}
-			}
-			if _, replays := offEng.FastForwardStats(); replays != 0 {
-				t.Fatalf("disabled engine replayed %d ticks", replays)
-			}
+			sameEngine(t, eng, ref)
 		})
 	}
 }
@@ -207,7 +210,6 @@ func TestFastForwardEquivalence(t *testing.T) {
 // point (a few dozen ticks), a long quiescent run must replay the
 // overwhelming majority of its ticks.
 func TestFastForwardEngages(t *testing.T) {
-	skipIfNoFF(t)
 	sc := ffScenario{"long-steady", func(t *testing.T, e *sim.Engine) {
 		addApp(t, e, "a", ffSpec(2000), []topology.NodeID{0, 1}, testPlacer{"uniform-workers"})
 	}}
@@ -229,7 +231,6 @@ func TestFastForwardEngages(t *testing.T) {
 // the engine must solve only when the flow set changes — once at the
 // start and once per completion — and replay every other tick.
 func TestReplayThroughLatencyChase(t *testing.T) {
-	skipIfNoFF(t)
 	const ticks = 24
 	e := sim.New(topology.MachineB(), sim.Config{Seed: 7})
 	short := addApp(t, e, "short", kappaSpec(1.5, 0), []topology.NodeID{0}, testPlacer{"local"})
@@ -253,74 +254,5 @@ func TestReplayThroughLatencyChase(t *testing.T) {
 	if solves > stateChanges+1 {
 		t.Fatalf("%d solves over %d ticks with %d flow-set changes; the latency chase forced re-solves",
 			solves, ticks, stateChanges)
-	}
-}
-
-// TestAdvanceToQuiescentMatchesAdvanceTo drives two engines through the
-// same uneven advance schedule — one on the checked per-tick path, one on
-// the batched replay path — and demands identical clocks, progress and
-// completion times.
-func TestAdvanceToQuiescentMatchesAdvanceTo(t *testing.T) {
-	skipIfNoFF(t)
-	build := func() (*sim.Engine, *sim.App) {
-		e := sim.New(topology.MachineB(), sim.Config{Seed: 3})
-		app := addApp(t, e, "a", ffSpec(40).WithInitPhase(1.1, 0.6), []topology.NodeID{0, 1},
-			testPlacer{"uniform-workers"})
-		if err := e.PlaceApp(app); err != nil {
-			t.Fatal(err)
-		}
-		return e, app
-	}
-	ref, refApp := build()
-	fast, fastApp := build()
-	for _, target := range []float64{0.5, 1.05, 2.0, 7.33, 30, 200} {
-		ref.AdvanceTo(target)
-		fast.AdvanceToQuiescent(target)
-		if ref.Now() != fast.Now() || ref.Ticks() != fast.Ticks() {
-			t.Fatalf("at target %v: clock %v/%d vs %v/%d",
-				target, ref.Now(), ref.Ticks(), fast.Now(), fast.Ticks())
-		}
-		if refApp.Progress() != fastApp.Progress() {
-			t.Fatalf("at target %v: progress %v vs %v", target, refApp.Progress(), fastApp.Progress())
-		}
-	}
-	if !refApp.Done() || !fastApp.Done() {
-		t.Fatal("apps did not finish")
-	}
-	if refApp.FinishTime() != fastApp.FinishTime() {
-		t.Fatalf("finish %v vs %v", refApp.FinishTime(), fastApp.FinishTime())
-	}
-	if _, replays := fast.FastForwardStats(); replays == 0 {
-		t.Fatal("AdvanceToQuiescent never replayed")
-	}
-	sameCounters(t, "a", refApp.Counters, fastApp.Counters)
-}
-
-// TestAdvanceToIntegerTicks pins the float-drift fix: the tick count of a
-// long advance must equal the drift-free count computed from (t-now)/DT,
-// and chunked advances must land on the same total as one big advance.
-func TestAdvanceToIntegerTicks(t *testing.T) {
-	e := sim.New(topology.MachineB(), sim.Config{})
-	app := addApp(t, e, "a", ffSpec(0.001), []topology.NodeID{0}, testPlacer{"local"})
-	if err := e.PlaceApp(app); err != nil {
-		t.Fatal(err)
-	}
-	const target = 5000.0
-	e.AdvanceTo(target)
-	if want := int(math.Round(target / 0.1)); e.Ticks() != want {
-		t.Fatalf("AdvanceTo(%v) ran %d ticks, want %d", target, e.Ticks(), want)
-	}
-
-	chunked := sim.New(topology.MachineB(), sim.Config{})
-	app2 := addApp(t, chunked, "a", ffSpec(0.001), []topology.NodeID{0}, testPlacer{"local"})
-	if err := chunked.PlaceApp(app2); err != nil {
-		t.Fatal(err)
-	}
-	for at := 0.7; at < target; at += 13.7 {
-		chunked.AdvanceTo(at)
-	}
-	chunked.AdvanceTo(target)
-	if chunked.Ticks() != e.Ticks() {
-		t.Fatalf("chunked advance ran %d ticks, single advance %d", chunked.Ticks(), e.Ticks())
 	}
 }

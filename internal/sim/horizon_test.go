@@ -11,9 +11,10 @@ import (
 
 // TestCompletionHorizonNeverContainsACompletion pins the conservative-
 // lookahead bound the fleet's windowed engine is built on: ticks inside a
-// predicted horizon must not complete any app, under full Step dynamics —
-// phase curves, init bursts, co-runners, migration backlogs — and with
-// fast-forward both on and off. The horizon needs no quiescence, so it is
+// predicted horizon must not complete any app, under full tick dynamics —
+// phase curves, init bursts, co-runners, migration backlogs — both on the
+// engine's memoized ticks and on the naive oracle's. The horizon needs no
+// quiescence, so it is
 // re-queried after every window and must also make progress (the run may
 // not be starved by an always-zero horizon).
 func TestCompletionHorizonNeverContainsACompletion(t *testing.T) {
@@ -21,8 +22,12 @@ func TestCompletionHorizonNeverContainsACompletion(t *testing.T) {
 		if sc.name == "autonuma-churn" {
 			continue // hook-driven; covered by TestCompletionHorizonZeroWithHooks
 		}
-		for _, disable := range []bool{false, true} {
-			e := sim.New(topology.MachineB(), sim.Config{Seed: 7, DisableFastForward: disable})
+		for _, naive := range []bool{false, true} {
+			e := sim.New(topology.MachineB(), sim.Config{Seed: 7})
+			step := func() { e.AdvanceTicks(1) }
+			if naive {
+				step = func() { sim.NaiveTick(e) }
+			}
 			sc.build(t, e)
 			var apps []*sim.App
 			for _, app := range e.Apps() {
@@ -53,22 +58,22 @@ func TestCompletionHorizonNeverContainsACompletion(t *testing.T) {
 				h := e.CompletionHorizonTicks(1 << 20)
 				before := doneCount()
 				for i := 0; i < h; i++ {
-					e.Step()
+					step()
 					tick++
 					if got := doneCount(); got != before {
-						t.Fatalf("%s (disableFF=%v): app completed %d ticks into a %d-tick horizon",
-							sc.name, disable, i+1, h)
+						t.Fatalf("%s (naive=%v): app completed %d ticks into a %d-tick horizon",
+							sc.name, naive, i+1, h)
 					}
 				}
 				horizonSum += h
 				windows++
 				// One unguarded tick past the horizon keeps the loop moving
 				// even when a completion is imminent (h == 0).
-				e.Step()
+				step()
 				tick++
 			}
 			if horizonSum == 0 {
-				t.Fatalf("%s (disableFF=%v): horizon never exceeded zero; the bound is vacuous", sc.name, disable)
+				t.Fatalf("%s (naive=%v): horizon never exceeded zero; the bound is vacuous", sc.name, naive)
 			}
 		}
 	}
@@ -94,7 +99,7 @@ func TestCompletionHorizonPhaseAware(t *testing.T) {
 			if app.Done() {
 				t.Fatalf("%s finished before reaching the probe point", spec.Name)
 			}
-			e.Step()
+			e.AdvanceTicks(1)
 		}
 		return e.CompletionHorizonTicks(1 << 20)
 	}

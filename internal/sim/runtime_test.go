@@ -13,7 +13,7 @@ type countingHook struct{ ticks int }
 func (h *countingHook) Tick(*sim.Engine) { h.ticks++ }
 
 // TestIncrementalRunMatchesBatchRun drives the engine with the
-// run-until-event primitives (PlaceApp + AdvanceTo + Step) and checks the
+// run-until-event primitives (PlaceApp + AdvanceTicks) and checks the
 // app finishes at the same simulated time as a conventional Run.
 func TestIncrementalRunMatchesBatchRun(t *testing.T) {
 	m := topology.MachineB()
@@ -38,16 +38,16 @@ func TestIncrementalRunMatchesBatchRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Advance in uneven chunks, then tick to completion.
-	e.AdvanceTo(1.0)
+	e.AdvanceTicks(10) // to t = 1.0
 	if app.Done() {
 		t.Fatalf("app done after 1s, expected ~%.1fs", want)
 	}
-	e.AdvanceTo(3.7)
+	e.AdvanceTicks(27) // to t = 3.7
 	for i := 0; !app.Done() && i < 100000; i++ {
-		e.Step()
+		e.AdvanceTicks(1)
 	}
 	if !app.Done() {
-		t.Fatal("app never finished under Step loop")
+		t.Fatal("app never finished under single-tick advances")
 	}
 	if got := app.FinishTime(); got != want {
 		t.Fatalf("incremental finish %.6f, batch finish %.6f", got, want)
@@ -66,7 +66,7 @@ func TestMidRunArrival(t *testing.T) {
 	if err := e.PlaceApp(a1); err != nil {
 		t.Fatal(err)
 	}
-	e.AdvanceTo(2.0)
+	e.AdvanceTicks(20) // to t = 2.0
 
 	spec2 := smallSpec(7, 0, 0, 0, 40)
 	spec2.Name = "second"
@@ -77,7 +77,7 @@ func TestMidRunArrival(t *testing.T) {
 	if err := e.PlaceApp(a2); err != nil {
 		t.Fatal(err)
 	}
-	e.AdvanceTo(200)
+	e.AdvanceTicks(1980) // to t = 200
 	if !a1.Done() || !a2.Done() {
 		t.Fatalf("done: first=%v second=%v, want both", a1.Done(), a2.Done())
 	}
@@ -113,7 +113,7 @@ func TestRemoveAppDetachesOwnedHooks(t *testing.T) {
 	e.AddHook(global)
 
 	for !a1.Done() {
-		e.Step()
+		e.AdvanceTicks(1)
 	}
 	ownedTicks := owned.ticks
 	if err := e.RemoveApp(a1); err != nil {
@@ -122,7 +122,7 @@ func TestRemoveAppDetachesOwnedHooks(t *testing.T) {
 	if err := e.RemoveApp(a1); err == nil {
 		t.Fatal("second RemoveApp succeeded, want error")
 	}
-	e.AdvanceTo(e.Now() + 5)
+	e.AdvanceTicks(50) // 5 s
 	if owned.ticks != ownedTicks {
 		t.Fatalf("owned hook ticked %d more times after RemoveApp", owned.ticks-ownedTicks)
 	}
@@ -132,7 +132,7 @@ func TestRemoveAppDetachesOwnedHooks(t *testing.T) {
 	if len(e.Apps()) != 1 || e.Apps()[0] != a2 {
 		t.Fatalf("apps after removal: %d", len(e.Apps()))
 	}
-	e.AdvanceTo(200)
+	e.AdvanceTicks(2000 - e.Ticks()) // to t = 200
 	if !a2.Done() {
 		t.Fatal("remaining app never finished after RemoveApp reindexing")
 	}
@@ -146,7 +146,7 @@ func TestUnplacedAppDoesNotRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.AdvanceTo(5)
+	e.AdvanceTicks(50) // to t = 5
 	if app.Progress() != 0 || app.Done() {
 		t.Fatalf("unplaced app made progress %.3f GB", app.Progress())
 	}
@@ -156,7 +156,7 @@ func TestUnplacedAppDoesNotRun(t *testing.T) {
 	if err := e.PlaceApp(app); err == nil {
 		t.Fatal("double PlaceApp succeeded, want error")
 	}
-	e.AdvanceTo(200)
+	e.AdvanceTicks(1950) // to t = 200
 	if !app.Done() {
 		t.Fatal("app never ran after late placement")
 	}

@@ -24,9 +24,7 @@ package sim
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
-	"sync"
 
 	"bwap/internal/memsys"
 	"bwap/internal/mm"
@@ -36,13 +34,6 @@ import (
 	"bwap/internal/topology"
 	"bwap/internal/workload"
 )
-
-// noFastForwardEnv reports whether the BWAP_NO_FASTFORWARD=1 environment
-// knob forces the naive per-tick solve path — the CI switch that keeps the
-// reference implementation exercised.
-var noFastForwardEnv = sync.OnceValue(func() bool {
-	return os.Getenv("BWAP_NO_FASTFORWARD") == "1"
-})
 
 // Placer is a page-placement policy: it performs the initial placement of
 // an application's segments when the application starts. Policies that also
@@ -97,13 +88,6 @@ type Config struct {
 	StableAfter float64
 	// Seed derives the noise streams of any samplers hooks create.
 	Seed uint64
-	// DisableFastForward turns off the quiescent-interval fast-forward:
-	// every tick rebuilds its flow set and runs a full memsys solve, even
-	// when the inputs are provably unchanged. The fast path is bit-identical
-	// to this naive loop by construction; the switch keeps the naive loop
-	// alive as the reference implementation (the BWAP_NO_FASTFORWARD=1
-	// environment knob forces it on for a whole test run).
-	DisableFastForward bool
 }
 
 // FloatPtr returns a pointer to v, for the Config fields where nil means
@@ -134,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DemandFactor <= 0 {
 		c.DemandFactor = 1.0
-	}
-	if noFastForwardEnv() {
-		c.DisableFastForward = true
 	}
 	if c.StableAfter <= 0 {
 		c.StableAfter = defaultStableAfter
@@ -291,7 +272,6 @@ type Engine struct {
 	// per-flow rates — the same floating-point additions in the same order,
 	// so results stay byte-identical — instead of rebuilding flows and
 	// solving again.
-	ff            bool           // fast-forward enabled
 	lastRes       *memsys.Result // cached solve; owned by e.solver
 	solveValid    bool           // lastRes matches flows/metas from a real solve
 	stateEpoch    uint64         // app set / placement lifecycle epoch
@@ -331,7 +311,6 @@ func New(m *topology.Machine, cfg Config) *Engine {
 		memCfg:  *cfg.Mem,
 		latQF:   *cfg.LatQueueFactor,
 		solver:  sys.NewSolver(),
-		ff:      !cfg.DisableFastForward,
 	}
 }
 
@@ -467,7 +446,7 @@ func (e *Engine) Run() (*Result, error) {
 		if e.now >= e.Cfg.MaxTime {
 			return e.result(true), nil
 		}
-		if e.ReplayTicks(e.ticksBefore(e.Cfg.MaxTime)) > 0 {
+		if e.replayTicks(e.ticksBefore(e.Cfg.MaxTime)) > 0 {
 			continue
 		}
 		e.tick()
@@ -499,7 +478,7 @@ func (e *Engine) place() error {
 
 // PlaceApp runs the app's initial placement immediately and validates that
 // every page got mapped. Run calls it for every registered app; callers
-// driving the engine incrementally (Step/AdvanceTo) must call it themselves
+// driving the engine incrementally (AdvanceTicks) must call it themselves
 // after AddApp — an unplaced app does not execute. Placing twice is an
 // error.
 func (e *Engine) PlaceApp(a *App) error {
@@ -558,42 +537,23 @@ func (e *Engine) RemoveApp(a *App) error {
 	return nil
 }
 
-// Step advances the simulation by exactly one tick, regardless of
-// completion state — the engine idles fine with zero runnable apps, which
-// is what keeps a fleet of machines advancing in lockstep. Apps must have
-// been placed (PlaceApp); unplaced apps are skipped.
-func (e *Engine) Step() { e.tick() }
-
-// AdvanceTo ticks until the engine clock reaches t (within half a tick).
-// It is the run-until-event primitive: a caller that knows the next
-// externally scheduled event advances to it, mutates the app set
-// (AddApp/PlaceApp/RemoveApp), and resumes. Unlike Run it does not stop
-// when foreground apps finish; poll Apps()[i].Done() between calls.
+// AdvanceTicks advances exactly n ticks, regardless of completion state —
+// the engine idles fine with zero runnable apps, which is what keeps a
+// fleet of machines advancing in lockstep. It is the run-until-event
+// primitive: a caller that knows the next externally scheduled event
+// advances to it, mutates the app set (AddApp/PlaceApp/RemoveApp), and
+// resumes. Unlike Run it does not stop when foreground apps finish; poll
+// Apps()[i].Done() between calls. Apps must have been placed (PlaceApp);
+// unplaced apps are skipped.
 //
-// The tick count is computed once from (t − now)/DT and the loop runs on
-// an integer counter: the clock's repeated += DT accumulation can drift by
-// several ULPs over a long advance, and re-testing `now + DT/2 < t` per
-// tick made the tick count depend on that drift (over- or under-ticking
-// for large t).
-func (e *Engine) AdvanceTo(t float64) {
-	for n := e.remainingTicks(t); n > 0; n-- {
-		e.tick()
-	}
-}
-
-// AdvanceToQuiescent advances to time t exactly like AdvanceTo, but
-// fast-forwards quiescent stretches (see AdvanceTicks). Byte-identical to
-// AdvanceTo for any t.
-func (e *Engine) AdvanceToQuiescent(t float64) { e.AdvanceTicks(e.remainingTicks(t)) }
-
-// AdvanceTicks advances exactly n ticks, replaying the memoized solve in a
-// tight inner loop wherever the engine is replayable (ReplayTicks) and
-// falling back to a full Step at every boundary — phase or init crossing,
-// completion, stale solve — re-entering the replay path as soon as a new
-// fixed point is cached. Byte-identical to n Steps.
+// The memoized solve is replayed in a tight inner loop wherever the engine
+// is replayable (replayTicks), falling back to a full tick at every
+// boundary — phase or init crossing, completion, stale solve — and
+// re-entering the replay path as soon as a new fixed point is cached.
+// Byte-identical to n ticks of the naive solve-every-tick loop.
 func (e *Engine) AdvanceTicks(n int) {
 	for n > 0 {
-		if ran := e.ReplayTicks(n); ran > 0 {
+		if ran := e.replayTicks(n); ran > 0 {
 			n -= ran
 			continue
 		}
@@ -602,21 +562,8 @@ func (e *Engine) AdvanceTicks(n int) {
 	}
 }
 
-// remainingTicks returns how many ticks AdvanceTo(t) still has to run:
-// the count a drift-free `now + DT/2 < t` loop would execute.
-func (e *Engine) remainingTicks(t float64) int {
-	n := math.Ceil((t-e.now)/e.Cfg.DT - 0.5)
-	if n <= 0 || math.IsNaN(n) {
-		return 0
-	}
-	if n > 1<<40 {
-		n = 1 << 40
-	}
-	return int(n)
-}
-
 // ticksBefore returns a conservative count of ticks that keep the clock
-// strictly below t — the bound Run hands to ReplayTicks so a replay batch
+// strictly below t — the bound Run hands to replayTicks so a replay batch
 // never crosses MaxTime.
 func (e *Engine) ticksBefore(t float64) int {
 	n := (t - e.now) / e.Cfg.DT
@@ -699,7 +646,7 @@ type flowIncr struct {
 // solved one by construction.
 func (e *Engine) tick() {
 	e.prepare()
-	if e.ff && e.canReplay() {
+	if e.canReplay() {
 		e.ffReplays++
 	} else {
 		e.buildFlows()
@@ -1065,7 +1012,7 @@ func (e *Engine) feedback() {
 // the threshold and the controller tracks it again immediately.
 const latSnapRel = 0x1p-46
 
-// ReplayTicks advances up to n ticks on the memoized replay path without
+// replayTicks advances up to n ticks on the memoized replay path without
 // per-tick revalidation: no epoch checks and no hook dispatch. The latency
 // feedback keeps running until one call changes nothing (latSettled) and
 // is a provable no-op from then on: a replay may start while the
@@ -1076,10 +1023,10 @@ const latSnapRel = 0x1p-46
 // detected exactly from the live progress values — and returns the number
 // of ticks advanced. 0 means the engine is not replayable right now
 // (stale solve, hooks registered, or an app inside its init burst);
-// callers fall back to Step. Every tick it advances is byte-identical to
-// a full Step.
-func (e *Engine) ReplayTicks(n int) int {
-	if n <= 0 || !e.ff || len(e.hooks) > 0 || !e.canReplay() {
+// callers fall back to a full tick. Every tick it advances is
+// byte-identical to a full tick.
+func (e *Engine) replayTicks(n int) int {
+	if n <= 0 || len(e.hooks) > 0 || !e.canReplay() {
 		return 0
 	}
 	for _, a := range e.apps {
