@@ -340,13 +340,15 @@ func BenchmarkFleetThroughputSharded(b *testing.B) {
 	}
 }
 
-// probeBurstStreams builds n single-job streams whose workload specs all
-// hash to distinct signatures, so a cold tuning cache owes one probe
-// mini-sim per stream — the worst-case admission burst a fresh bwapd
-// faces. Shared by BenchmarkColdCacheProbeBurst and the CI multicore
-// probe gate in scaling_test.go.
-func probeBurstStreams(n int) []bwap.StreamSpec {
-	streams := make([]bwap.StreamSpec, n)
+// BenchmarkColdCacheProbeBurst measures a cold cache hit by a burst of
+// distinct workload classes — the worst-case admission burst a fresh
+// bwapd faces. Every stream's spec hashes to its own signature, so every
+// admission owes one probe mini-sim, run synchronously inside that
+// admission. Each iteration builds a fresh fleet with a fresh private
+// cache, so nothing is ever warm.
+func BenchmarkColdCacheProbeBurst(b *testing.B) {
+	const sigs = 12
+	streams := make([]bwap.StreamSpec, sigs)
 	for i := range streams {
 		spec := bwap.Streamcluster()
 		spec.ReadGBs += 0.25 * float64(i) // distinct signature => distinct probe key
@@ -356,52 +358,33 @@ func probeBurstStreams(n int) []bwap.StreamSpec {
 			Workers:  2, WorkScale: 0.02,
 		}
 	}
-	return streams
-}
-
-// BenchmarkColdCacheProbeBurst measures the speculative probe pool on its
-// target scenario: a cold cache hit by a burst of distinct workload
-// classes, where every admission owes a probe mini-sim. Each iteration
-// builds a fresh fleet with a fresh private cache, so nothing is ever
-// warm; the sub-benchmarks differ only in pool width. On a multi-core
-// runner probe-workers=4 overlaps up to four probes with the scheduler
-// and beats probe-workers=1 (enforced by TestProbeBurstMultiCoreGate in
-// CI); the event logs are byte-identical either way.
-func BenchmarkColdCacheProbeBurst(b *testing.B) {
-	const sigs = 12
-	streams := probeBurstStreams(sigs)
-	for _, pw := range []int{1, 4} {
-		b.Run(fmt.Sprintf("probe-workers=%d", pw), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f, err := bwap.NewFleet(bwap.FleetConfig{
-					Machines:     8,
-					Shards:       2,
-					Workers:      2,
-					ProbeWorkers: pw,
-					SimCfg:       bwap.Config{Seed: 1},
-					Seed:         1,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := f.SubmitStream(streams); err != nil {
-					b.Fatal(err)
-				}
-				stats, err := f.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if stats.Completed != sigs {
-					b.Fatalf("completed %d/%d", stats.Completed, sigs)
-				}
-				if stats.CacheMisses == 0 {
-					b.Fatal("cold run recorded no probe misses; the burst is vacuous")
-				}
-			}
-			b.ReportMetric(float64(sigs*b.N)/b.Elapsed().Seconds(), "jobs/s")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f, err := bwap.NewFleet(bwap.FleetConfig{
+			Machines: 8,
+			Shards:   2,
+			Workers:  2,
+			SimCfg:   bwap.Config{Seed: 1},
+			Seed:     1,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := f.SubmitStream(streams); err != nil {
+			b.Fatal(err)
+		}
+		stats, err := f.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if stats.Completed != sigs {
+			b.Fatalf("completed %d/%d", stats.Completed, sigs)
+		}
+		if stats.CacheMisses == 0 {
+			b.Fatal("cold run recorded no probe misses; the burst is vacuous")
+		}
 	}
+	b.ReportMetric(float64(sigs*b.N)/b.Elapsed().Seconds(), "jobs/s")
 }
 
 // BenchmarkFleetTelemetryOverhead prices the observer on the fleet's

@@ -312,8 +312,9 @@ type ArrivalSpec = workload.ArrivalSpec
 
 // TuningCache memoizes BWAP placement decisions across jobs, keyed by
 // (topology fingerprint × workload signature × worker count × co-runner
-// count), with single-flight probing. It is durable (Save/LoadInto a
-// versioned snapshot file) and optionally LRU-bounded.
+// count), with single-flight probing: a miss runs its probe mini-sim
+// synchronously inside the lookup that demands it. It is durable
+// (Save/LoadInto a versioned snapshot file) and optionally LRU-bounded.
 type TuningCache = fleet.TuningCache
 
 // TuningCacheOption configures a TuningCache at construction.
@@ -334,8 +335,8 @@ func NewFleetServer(f *Fleet) *FleetServer { return fleet.NewServer(f) }
 func NewFleetObserver(cfg FleetObserverConfig) *FleetObserver { return fleet.NewObserver(cfg) }
 
 // NewTuningCache returns a tuning cache shareable across fleets and
-// daemons. By default failed probes are forgotten (retried on the next
-// lookup) and the cache is unbounded; see CacheMaxEntries and CacheErrors.
+// daemons. Failed probes are forgotten (retried on the next lookup), and
+// the cache is unbounded unless CacheMaxEntries bounds it.
 func NewTuningCache(simCfg Config, probeScale float64, seed uint64, opts ...TuningCacheOption) *TuningCache {
 	return fleet.NewTuningCache(simCfg, probeScale, seed, opts...)
 }
@@ -343,17 +344,6 @@ func NewTuningCache(simCfg Config, probeScale float64, seed uint64, opts ...Tuni
 // CacheMaxEntries bounds a tuning cache's placement entries with LRU
 // eviction (n <= 0 keeps it unbounded).
 func CacheMaxEntries(n int) TuningCacheOption { return fleet.CacheMaxEntries(n) }
-
-// CacheErrors memoizes failed probes forever — the strict first-outcome-
-// is-the-outcome behaviour replay determinism wants.
-func CacheErrors() TuningCacheOption { return fleet.CacheErrors() }
-
-// ProbeWorkers sizes the cache's speculative probe pool: n > 0 allows n
-// concurrent background probes, n == 0 defaults to GOMAXPROCS, n < 0
-// disables prefetching (probes run synchronously at admission). The pool
-// width never changes any demand-side observable — logs, stats and
-// metrics are byte-identical at every setting.
-func ProbeWorkers(n int) TuningCacheOption { return fleet.ProbeWorkers(n) }
 
 // DecodeFleetLog parses a fleet's JSONL event log for replay verification.
 func DecodeFleetLog(data []byte) ([]FleetRecord, error) { return fleet.DecodeLog(data) }

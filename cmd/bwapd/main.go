@@ -95,7 +95,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "deterministic seed for engines, probes and arrival noise")
 	simRate := flag.Float64("sim-rate", 100, "simulated seconds advanced per wall second")
 	probeScale := flag.Float64("probe-scale", fleet.DefaultProbeWorkScale, "tuning-probe work fraction")
-	probeWorkers := flag.Int("probe-workers", 0, "speculative probe pool width (0 = GOMAXPROCS, negative = no prefetching; wall-clock only, never changes a log byte)")
 	logRetention := flag.Int("log-retention", 0, "in-memory event-log mirror: 0 = full, n > 0 = most recent n records, negative = disabled (-log still streams everything)")
 	retune := flag.Float64("retune-delay", 0.5, "simulated seconds after churn before co-located jobs are re-tuned (negative disables)")
 	logPath := flag.String("log", "", "mirror the JSONL event log to this file")
@@ -155,11 +154,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	cacheOpts := []fleet.TuningCacheOption{fleet.ProbeWorkers(*probeWorkers)}
-	if *cacheMax > 0 {
-		cacheOpts = append(cacheOpts, fleet.CacheMaxEntries(*cacheMax))
-	}
-	cache := fleet.NewTuningCache(sim.Config{Seed: *seed}, *probeScale, *seed, cacheOpts...)
+	cache := fleet.NewTuningCache(sim.Config{Seed: *seed}, *probeScale, *seed, fleet.CacheMaxEntries(*cacheMax))
 	if *cacheFile != "" {
 		switch n, err := cache.LoadInto(*cacheFile); {
 		case err == nil:
@@ -202,7 +197,6 @@ func main() {
 		MaxRetries:     *maxRetries,
 		Seed:           *seed,
 		ProbeWorkScale: *probeScale,
-		ProbeWorkers:   *probeWorkers,
 		LogRetention:   *logRetention,
 		Cache:          cache,
 	}

@@ -55,10 +55,7 @@ type Cache[V any] struct {
 	entries map[string]*entry[V]
 	// lru orders keys most-recently-used first; every map entry has a
 	// matching element (entries forgotten on error are removed from both).
-	lru list.List
-	// spec counts entries whose speculative flag is still set, so the
-	// eviction passes can bound demanded entries without scanning.
-	spec      int
+	lru       list.List
 	opt       options
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -73,14 +70,7 @@ type entry[V any] struct {
 	// done is set under the cache mutex after once completes; eviction
 	// skips entries that are still in flight.
 	done bool
-	// speculative marks an entry created by Prefetch that no Get has
-	// consumed yet. Speculative entries are invisible to the hit/miss
-	// accounting and to the demanded-entry LRU bound: the first Get of the
-	// key consumes the reservation and counts as the miss, so every
-	// demand-side observable (hit flags, counters, which demanded entries
-	// the bound evicts) is exactly what a run without prefetching sees.
-	speculative bool
-	elem        *list.Element
+	elem *list.Element
 }
 
 // New returns an empty cache with the given options.
@@ -104,16 +94,6 @@ func (c *Cache[V]) Get(key string, compute func() (V, error)) (v V, hit bool, er
 		c.entries[key] = en
 		en.elem = c.lru.PushFront(key)
 	} else {
-		if en.speculative {
-			// First demand of a prefetched key: consume the reservation.
-			// The consumer takes the miss (and, if the prefetch has not
-			// finished or even started, the computation itself via the
-			// shared once), so the demand-side accounting matches an
-			// unprefetched run exactly.
-			en.speculative = false
-			c.spec--
-			ok = false
-		}
 		c.lru.MoveToFront(en.elem)
 	}
 	c.mu.Unlock()
@@ -127,46 +107,14 @@ func (c *Cache[V]) Get(key string, compute func() (V, error)) (v V, hit bool, er
 	return en.val, ok, en.err
 }
 
-// Prefetch reserves key and hands back the computation to run for it,
-// intended for a worker pool that fills the cache ahead of demand. The
-// reservation is made synchronously (so the caller's view of Len is
-// deterministic); run executes compute through the entry's single-flight
-// once and may be invoked on any goroutine. If the key already exists —
-// computed, in flight, or reserved — Prefetch returns (nil, false).
-//
-// A speculative entry is a pure hint: the first Get of its key consumes
-// the reservation and still counts as the miss, a mispredicted key is
-// never consumed and costs only background work, and the eviction bound
-// treats reservations separately (see evictLocked) — so prefetching can
-// never change what any sequence of Get calls observes.
-func (c *Cache[V]) Prefetch(key string, compute func() (V, error)) (run func(), reserved bool) {
-	c.mu.Lock()
-	if _, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		return nil, false
-	}
-	en := &entry[V]{speculative: true}
-	c.entries[key] = en
-	en.elem = c.lru.PushFront(key)
-	c.spec++
-	c.mu.Unlock()
-	return func() {
-		en.once.Do(func() { en.val, en.err = compute() })
-		c.finish(key, en)
-	}, true
-}
-
 // finish records a completed computation: marks the entry done, applies
 // the forget-on-error policy, and enforces the entry bound. Idempotent —
-// both the prefetch runner and a consuming Get call it for the same entry.
+// every Get that shared the computation calls it for the same entry.
 func (c *Cache[V]) finish(key string, en *entry[V]) {
 	c.mu.Lock()
 	if !en.done {
 		en.done = true
 		if en.err != nil && c.opt.forgetErrors && c.entries[key] == en {
-			if en.speculative {
-				c.spec--
-			}
 			delete(c.entries, key)
 			c.lru.Remove(en.elem)
 		}
@@ -175,59 +123,25 @@ func (c *Cache[V]) finish(key string, en *entry[V]) {
 	c.mu.Unlock()
 }
 
-// evictLocked enforces the entry bound in two passes. Demanded entries
-// first: the least recently used *completed* ones go while more than
-// maxEntries remain; in-flight entries are skipped (their callers hold
-// live references and evicting them would duplicate the computation), so
-// the cache may transiently exceed the bound while computations are in
-// flight. Speculative reservations are invisible to this pass — its
-// count, order and Evictions tally are a pure function of the demand
-// sequence, so a bounded cache hits and misses identically with or
-// without prefetching. The second pass holds unconsumed reservations to
-// the same total bound so mispredicted prefetches cannot grow a bounded
-// cache without limit; dropping one only discards a precomputed value
-// (the eventual demand recomputes it identically), so it is uncounted.
+// evictLocked enforces the entry bound: the least recently used
+// *completed* entries go while more than maxEntries remain. In-flight
+// entries are skipped (their callers hold live references and evicting
+// them would duplicate the computation), so the cache may transiently
+// exceed the bound while computations are in flight.
 func (c *Cache[V]) evictLocked() {
 	if c.opt.maxEntries <= 0 {
 		return
 	}
-	normal := len(c.entries) - c.spec
-	for e := c.lru.Back(); e != nil && normal > c.opt.maxEntries; {
+	for e := c.lru.Back(); e != nil && len(c.entries) > c.opt.maxEntries; {
 		prev := e.Prev()
 		key := e.Value.(string)
-		if en := c.entries[key]; en != nil && en.done && !en.speculative {
+		if en := c.entries[key]; en != nil && en.done {
 			delete(c.entries, key)
 			c.lru.Remove(e)
 			c.evictions.Add(1)
-			normal--
 		}
 		e = prev
 	}
-	for e := c.lru.Back(); e != nil && len(c.entries) > c.opt.maxEntries && c.spec > 0; {
-		prev := e.Prev()
-		key := e.Value.(string)
-		if en := c.entries[key]; en != nil && en.done && en.speculative {
-			delete(c.entries, key)
-			c.lru.Remove(e)
-			c.spec--
-		}
-		e = prev
-	}
-}
-
-// Contains reports whether key is present — computed, in flight, or
-// reserved — without touching LRU order or the hit/miss accounting. The
-// []byte key avoids materializing a string: the compiler elides the
-// conversion in the map index, so a caller probing with a stack-built key
-// allocates nothing. Purely advisory (the answer can be stale by the time
-// the caller acts on it); Prefetch re-checks under the same lock, so a
-// stale false costs one wasted key allocation, never a duplicated
-// computation.
-func (c *Cache[V]) Contains(key []byte) bool {
-	c.mu.Lock()
-	_, ok := c.entries[string(key)]
-	c.mu.Unlock()
-	return ok
 }
 
 // Stats returns the cumulative hit and miss counts.

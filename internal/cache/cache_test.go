@@ -295,26 +295,29 @@ func TestSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRestoreBadSnapshots is the corrupt-snapshot table: every class of
+// badSnapshots is the corrupt-snapshot table, one payload per class of
+// unusable input; FuzzCacheRestore seeds its corpus from it too.
+var badSnapshots = []struct {
+	name string
+	data []byte
+}{
+	{"empty", nil},
+	{"garbage", []byte("not json")},
+	{"truncated", []byte(`{"version":1,"entries":[{"key":"a"`)},
+	{"wrong version", []byte(`{"version":99,"entries":[]}`)},
+	{"future version", []byte(`{"version":2,"entries":[{"key":"a","value":1}]}`)},
+	{"wrong shape", []byte(`{"version":"one","entries":{}}`)},
+	{"array root", []byte(`[1,2,3]`)},
+}
+
+// TestRestoreBadSnapshots runs the corrupt-snapshot table: every class of
 // unusable payload — truncation, garbage, wrong version, wrong shape —
 // returns an error wrapping ErrBadSnapshot and leaves the cache exactly as
 // it was: same length, same entries, still serving computes. This is the
 // contract bwapd's boot path relies on to warm-start opportunistically and
 // fall back to a cold cache on anything unusable.
 func TestRestoreBadSnapshots(t *testing.T) {
-	cases := []struct {
-		name string
-		data []byte
-	}{
-		{"empty", nil},
-		{"garbage", []byte("not json")},
-		{"truncated", []byte(`{"version":1,"entries":[{"key":"a"`)},
-		{"wrong version", []byte(`{"version":99,"entries":[]}`)},
-		{"future version", []byte(`{"version":2,"entries":[{"key":"a","value":1}]}`)},
-		{"wrong shape", []byte(`{"version":"one","entries":{}}`)},
-		{"array root", []byte(`[1,2,3]`)},
-	}
-	for _, tc := range cases {
+	for _, tc := range badSnapshots {
 		t.Run(tc.name, func(t *testing.T) {
 			c := New[int]()
 			if _, _, err := c.Get("live", func() (int, error) { return 7, nil }); err != nil {
@@ -343,193 +346,5 @@ func TestRestoreBadSnapshots(t *testing.T) {
 	}
 	if n, err := c.Restore([]byte(`{"version":1,"entries":[{"key":"k","value":3}]}`)); err != nil || n != 1 {
 		t.Fatalf("good restore after bad: %d, %v", n, err)
-	}
-}
-
-// TestPrefetchReservesAndComputes covers the speculative lifecycle: the
-// reservation is synchronous, the handed-back runner computes through the
-// shared once, and the first Get consumes the reservation as its miss
-// without recomputing.
-func TestPrefetchReservesAndComputes(t *testing.T) {
-	c := New[int]()
-	calls := 0
-	run, reserved := c.Prefetch("k", func() (int, error) { calls++; return 42, nil })
-	if !reserved || run == nil {
-		t.Fatal("first Prefetch must reserve")
-	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after reservation, want 1", c.Len())
-	}
-	if _, dup := c.Prefetch("k", func() (int, error) { return 0, nil }); dup {
-		t.Fatal("second Prefetch of the same key must not reserve")
-	}
-	run()
-	if calls != 1 {
-		t.Fatalf("prefetch compute ran %d times, want 1", calls)
-	}
-	v, hit, err := c.Get("k", func() (int, error) { calls++; return 0, nil })
-	if err != nil || v != 42 {
-		t.Fatalf("Get = %d, %v; want 42", v, err)
-	}
-	if hit {
-		t.Fatal("consuming Get must count as the miss")
-	}
-	if calls != 1 {
-		t.Fatalf("consuming Get recomputed (%d calls)", calls)
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("Stats = %d/%d, want 0 hits / 1 miss", hits, misses)
-	}
-	if _, hit, _ := c.Get("k", func() (int, error) { return 0, nil }); !hit {
-		t.Fatal("second Get must hit")
-	}
-}
-
-// TestPrefetchConsumeBeforeRun: a Get that arrives before the pool ran the
-// prefetch computes the value itself through the shared once; the late
-// runner is a no-op.
-func TestPrefetchConsumeBeforeRun(t *testing.T) {
-	c := New[int]()
-	var prefetchCalls, getCalls int
-	run, reserved := c.Prefetch("k", func() (int, error) { prefetchCalls++; return 7, nil })
-	if !reserved {
-		t.Fatal("reservation failed")
-	}
-	v, hit, err := c.Get("k", func() (int, error) { getCalls++; return 7, nil })
-	if err != nil || v != 7 || hit {
-		t.Fatalf("Get = %d, hit=%v, err=%v; want 7, miss", v, hit, err)
-	}
-	run() // late pool execution must not recompute or error
-	if prefetchCalls+getCalls != 1 {
-		t.Fatalf("compute ran %d times, want exactly once", prefetchCalls+getCalls)
-	}
-}
-
-// TestPrefetchExistingKeyNotReserved: demanded and in-flight keys refuse
-// reservations, so prefetching never perturbs an entry that demand owns.
-func TestPrefetchExistingKeyNotReserved(t *testing.T) {
-	c := New[int]()
-	if _, _, err := c.Get("k", func() (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if _, reserved := c.Prefetch("k", func() (int, error) { return 2, nil }); reserved {
-		t.Fatal("Prefetch reserved a demanded key")
-	}
-	if v, hit, _ := c.Get("k", func() (int, error) { return 3, nil }); v != 1 || !hit {
-		t.Fatalf("demanded entry perturbed: %d, hit=%v", v, hit)
-	}
-}
-
-// TestPrefetchForgetErrors: with ForgetErrors, a failed speculative
-// computation vanishes (never memoized), and a later demand retries.
-func TestPrefetchForgetErrors(t *testing.T) {
-	c := New[int](ForgetErrors())
-	run, _ := c.Prefetch("k", func() (int, error) { return 0, errors.New("boom") })
-	run()
-	if c.Len() != 0 {
-		t.Fatalf("failed speculative entry survived: Len = %d", c.Len())
-	}
-	v, hit, err := c.Get("k", func() (int, error) { return 5, nil })
-	if err != nil || hit || v != 5 {
-		t.Fatalf("retry after forgotten error: %d, hit=%v, err=%v", v, hit, err)
-	}
-}
-
-// TestPrefetchEvictionPurity: the demanded-entry LRU bound must behave as
-// if prefetching did not exist — same evictions, same survivors — while
-// unconsumed reservations are separately held to the total bound.
-func TestPrefetchEvictionPurity(t *testing.T) {
-	mk := func() *Cache[int] { return New[int](MaxEntries(2)) }
-
-	// Reference: demand-only fill of a 2-entry cache.
-	ref := mk()
-	for _, k := range []string{"a", "b", "c"} {
-		ref.Get(k, func() (int, error) { return 1, nil })
-	}
-
-	// Same demand sequence with unconsumed speculative entries alongside.
-	c := mk()
-	for _, k := range []string{"s1", "s2", "s3"} {
-		run, _ := c.Prefetch(k, func() (int, error) { return 9, nil })
-		run()
-	}
-	for _, k := range []string{"a", "b", "c"} {
-		c.Get(k, func() (int, error) { return 1, nil })
-	}
-	if got, want := c.Evictions(), ref.Evictions(); got != want {
-		t.Fatalf("evictions with prefetching = %d, demand-only = %d", got, want)
-	}
-	for _, k := range []string{"b", "c"} { // LRU keeps the two newest demanded keys
-		if _, hit, _ := c.Get(k, func() (int, error) { return 2, nil }); !hit {
-			t.Fatalf("demanded survivor %q was evicted", k)
-		}
-	}
-	// The second pass caps total occupancy: speculative leftovers above the
-	// bound were dropped, uncounted.
-	if c.Len() > 2+1 { // 2 demanded survivors + at most the in-bound slack
-		t.Fatalf("unconsumed reservations kept the cache at %d entries", c.Len())
-	}
-	if got, want := c.Evictions(), ref.Evictions(); got != want {
-		t.Fatalf("speculative drops were counted: %d vs %d", got, want)
-	}
-}
-
-// TestPrefetchSnapshotSkipsSpeculative: never-demanded speculative values
-// must not leak into snapshots, or a warm-booted daemon would diverge from
-// one that booted from a demand-only snapshot.
-func TestPrefetchSnapshotSkipsSpeculative(t *testing.T) {
-	c := New[int]()
-	run, _ := c.Prefetch("spec", func() (int, error) { return 1, nil })
-	run()
-	if _, _, err := c.Get("demanded", func() (int, error) { return 2, nil }); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2 := New[int]()
-	if _, err := c2.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 1 {
-		t.Fatalf("snapshot carried %d entries, want only the demanded one", c2.Len())
-	}
-	if _, hit, _ := c2.Get("demanded", func() (int, error) { return 0, nil }); !hit {
-		t.Fatal("demanded entry missing from snapshot")
-	}
-	if _, hit, _ := c2.Get("spec", func() (int, error) { return 1, nil }); hit {
-		t.Fatal("speculative entry leaked into the snapshot")
-	}
-}
-
-// TestPrefetchConcurrentWithGets races a prefetch pool against demanding
-// readers under -race: every reader of a key sees the same value, and each
-// key computes at most once.
-func TestPrefetchConcurrentWithGets(t *testing.T) {
-	c := New[int]()
-	var computes atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		key := fmt.Sprintf("k%d", i%4)
-		want := i % 4
-		if run, ok := c.Prefetch(key, func() (int, error) { computes.Add(1); return want, nil }); ok {
-			wg.Add(1)
-			go func() { defer wg.Done(); run() }()
-		}
-		for j := 0; j < 4; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				v, _, err := c.Get(key, func() (int, error) { computes.Add(1); return want, nil })
-				if err != nil || v != want {
-					t.Errorf("Get(%s) = %d, %v; want %d", key, v, err, want)
-				}
-			}()
-		}
-	}
-	wg.Wait()
-	if n := computes.Load(); n != 4 {
-		t.Fatalf("computed %d times for 4 keys", n)
 	}
 }

@@ -30,18 +30,15 @@ type snapEntry[V any] struct {
 }
 
 // Snapshot serializes every completed, error-free entry to versioned JSON,
-// most recently used first. In-flight and failed entries are skipped, and
-// so are unconsumed speculative reservations — a key no Get ever demanded
-// must not warm a later boot, or restoring would turn that boot's first
-// demand into a hit a prefetch-free run would have missed. The value type
-// must be JSON-serializable.
+// most recently used first. In-flight and failed entries are skipped. The
+// value type must be JSON-serializable.
 func (c *Cache[V]) Snapshot() ([]byte, error) {
 	c.mu.Lock()
 	s := snapshot[V]{Version: SnapshotVersion, Entries: []snapEntry[V]{}}
 	for e := c.lru.Front(); e != nil; e = e.Next() {
 		key := e.Value.(string)
 		en := c.entries[key]
-		if en == nil || !en.done || en.err != nil || en.speculative {
+		if en == nil || !en.done || en.err != nil {
 			continue
 		}
 		s.Entries = append(s.Entries, snapEntry[V]{Key: key, Value: en.val})

@@ -24,9 +24,11 @@
 // the chosen machine (Config.Admission: most-free, best-bandwidth,
 // anti-affinity); jobs that do not fit wait in an arrival-ordered queue
 // and are backfilled as capacity frees up. Under the bwap policy,
-// placement consults the TuningCache — repeated jobs skip re-profiling —
-// and churn (an arrival or departure on a machine) schedules a coalesced
-// retune event that re-places the survivors for their new co-runner count.
+// placement consults the TuningCache: repeated jobs skip re-profiling, and
+// a miss runs its probe mini-sim synchronously inside the admission (or
+// retune) that demands it. Churn (an arrival or departure on a machine)
+// schedules a coalesced retune event that re-places the survivors for
+// their new co-runner count.
 //
 // Every decision is appended to a JSONL event log; the same configuration,
 // seed and job stream reproduce the log bit for bit.
@@ -120,13 +122,6 @@ type Config struct {
 	// ProbeWorkScale scales tuning-probe work volumes (default
 	// DefaultProbeWorkScale); only used when Cache is nil.
 	ProbeWorkScale float64
-	// ProbeWorkers sizes the asynchronous probe pool of the private tuning
-	// cache (only used when Cache is nil; a shared Cache carries its own
-	// pool): >= 1 bounds concurrent speculative probes, 0 selects
-	// GOMAXPROCS, < 0 disables prefetching so every probe runs inside the
-	// admission that demands it. Purely a throughput knob — the event log
-	// is byte-identical for any value (TestProbePoolDeterminism).
-	ProbeWorkers int
 	// LogRetention bounds the in-memory mirror of the event log: 0 (the
 	// default) retains every record, n > 0 retains only the most recent n
 	// records, and n < 0 disables the mirror entirely. The streaming LogW
@@ -137,7 +132,9 @@ type Config struct {
 	// record once trimming starts.
 	LogRetention int
 	// Cache optionally shares a TuningCache across fleets (and with a
-	// daemon); nil builds a private one from SimCfg/ProbeWorkScale/Seed.
+	// daemon); nil builds a private, unbounded one from
+	// SimCfg/ProbeWorkScale/Seed. Either way every probe runs inside the
+	// admission or retune that demands it.
 	Cache *TuningCache
 	// LogW optionally mirrors every event-log line as it is written.
 	LogW io.Writer
@@ -395,8 +392,7 @@ func New(cfg Config) (*Fleet, error) {
 	}
 	f := &Fleet{cfg: cfg, dt: dt, router: router, admission: admission, cache: cfg.Cache}
 	if f.cache == nil {
-		f.cache = NewTuningCache(cfg.SimCfg, cfg.ProbeWorkScale, cfg.Seed,
-			ProbeWorkers(cfg.ProbeWorkers))
+		f.cache = NewTuningCache(cfg.SimCfg, cfg.ProbeWorkScale, cfg.Seed)
 	}
 	f.log.retain = cfg.LogRetention
 	f.workers = cfg.Workers
@@ -582,26 +578,7 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 	job.sigHash = h.Sum64()
 	f.jobs = append(f.jobs, job)
 	f.push(at, evArrive, job, -1)
-	f.prefetch(job)
 	return job, nil
-}
-
-// prefetch hints the tuning cache's probe pool with the key this job's
-// admission would demand if it were placed right now: the bestFit machine
-// (the same read-only rule routing and admission compose to) and its
-// current co-runner count. The prediction may be wrong — churn between
-// the hint and the admission changes the co-runner count — in which case
-// the hinted key is simply never consumed and the admission probes its
-// real key inline, exactly as an unhinted run would; a hint can therefore
-// never perturb the demand sequence, only overlap probe work with the
-// scheduler. Cheap when wrong, free when the key is already cached.
-func (f *Fleet) prefetch(job *Job) {
-	if f.cfg.Policy != PolicyBWAP {
-		return
-	}
-	if m := bestFit(f.machines, job.Workers); m != nil {
-		f.cache.Prefetch(m.topo, job.Spec, job.Workers, len(m.active))
-	}
 }
 
 // StreamSpec is one workload class of a job stream: a spec, an arrival
@@ -658,11 +635,8 @@ func (f *Fleet) SubmitStream(streams []StreamSpec) error {
 }
 
 // Run processes the whole submitted stream to completion and returns the
-// final statistics. Before returning it waits out any probe prefetches
-// still in flight (mispredicted hints no admission consumed), so a
-// drained fleet leaves no background goroutine behind.
+// final statistics.
 func (f *Fleet) Run() (*Stats, error) {
-	defer f.cache.Quiesce()
 	if err := f.run(math.Inf(1), true); err != nil {
 		return nil, err
 	}
@@ -810,10 +784,6 @@ func (f *Fleet) handle(ev *event) error {
 		job.State = JobQueued
 		f.logAppend(-1, Record{T: job.Arrival, Type: "arrive", Job: job.ID, Machine: -1,
 			Workload: job.Spec.Name, Workers: job.Workers, WorkScale: job.WorkScale})
-		// Re-hint with the fleet's current state: the submit-time prediction
-		// was made before any placements, so arrival time is where queued
-		// bursts get accurate (machine, co-runner) keys into the pool.
-		f.prefetch(job)
 		admitted, err := f.tryAdmit(job)
 		if err != nil {
 			return err
@@ -1035,13 +1005,6 @@ func (f *Fleet) retune(m *machine) error {
 	// down; the survivors (if any) are only jobs already completing.
 	if len(m.active) == 0 || m.state != machineUp {
 		return nil
-	}
-	// The retune keys are exact (same machine, co-runner count fixed for
-	// the whole sweep), so hint them all before the serial consumption
-	// loop: a cold retune of n distinct signatures runs its probes
-	// pool-wide instead of one by one.
-	for _, job := range m.active {
-		f.cache.Prefetch(m.topo, job.Spec, job.Workers, len(m.active)-1)
 	}
 	s := f.shards[m.shard]
 	jobs := make([]int, 0, len(m.active))

@@ -333,13 +333,6 @@ func (f *Fleet) enqueue(job *Job) {
 // admission errors — so jobs admitted earlier in the sweep are never
 // retried (a retry would collide with their registered app).
 func (f *Fleet) backfill() error {
-	// Hint the whole queue before the admission sweep: predictions use the
-	// pre-sweep state (exact for the first admission, approximate after it
-	// consumes capacity), so a cold queued burst fans its probes across
-	// the pool while the sweep consumes them in order.
-	for _, qj := range f.queue {
-		f.prefetch(qj)
-	}
 	kept := f.queue[:0]
 	var admitErr error
 	for _, qj := range f.queue {

@@ -107,11 +107,6 @@ func (s *Server) Stop() {
 	}
 	close(stop)
 	<-done
-	// With the driver gone no new prefetch can be kicked; waiting out the
-	// in-flight ones leaves the cache at rest, so a post-Stop snapshot
-	// (bwapd's -cache-file save) sees only consumed, demand-attested
-	// entries and tests sequenced after Stop see no stray goroutines.
-	s.fleet.Cache().Quiesce()
 }
 
 // drive owns the channels it was started with rather than reading them

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -40,21 +39,15 @@ import (
 //
 // A TuningCache is safe for concurrent use and may be shared across fleets
 // and a bwapd daemon; concurrent first submissions of the same key share
-// one probe run. Because a probe is a pure function of its key, the cache
-// can also compute probes speculatively: Prefetch reserves a key and runs
-// its mini-sim on a bounded worker pool (ProbeWorkers), and the later DWP
-// call that demands the key blocks on the single-flight result at the
-// same deterministic consumption point a synchronous probe would occupy.
-// Restore a snapshot before kicking prefetches (the daemon's boot order):
-// a reservation already in flight blocks a restore of the same key.
+// one probe run. Every probe runs synchronously, inside the DWP call that
+// demands its key.
 //
-// By default the DWP layer forgets failed probes (a transient failure does
-// not poison its key for the daemon's lifetime — CacheErrors restores the
-// strict first-outcome-is-the-outcome behaviour for replay determinism),
-// and is unbounded (CacheMaxEntries adds an LRU bound for long-lived
-// multi-tenant fleets). Completed DWP entries can be saved to a versioned
-// JSON file and reloaded on a later boot: the key derivation is stable
-// across processes, so a restored entry is a legitimate hit.
+// The DWP layer forgets failed probes (a transient failure does not poison
+// its key for the daemon's lifetime) and is unbounded by default
+// (CacheMaxEntries adds an LRU bound for long-lived multi-tenant fleets).
+// Completed DWP entries can be saved to a versioned JSON file and reloaded
+// on a later boot: the key derivation is stable across processes, so a
+// restored entry is a legitimate hit.
 type TuningCache struct {
 	simCfg     sim.Config
 	probeScale float64
@@ -62,19 +55,12 @@ type TuningCache struct {
 	canon      *cache.Cache[*core.CanonicalTuner]
 	dwp        *cache.Cache[float64]
 
-	// Probe pool: Prefetch reserves a key synchronously, then hands the
-	// probe mini-sim to a goroutine bounded by sem. wg tracks every
-	// in-flight prefetch so Quiesce can prove the cache is at rest.
-	workers int
-	sem     chan struct{}
-	wg      sync.WaitGroup
-
 	// mu guards the observer hook and the per-key elapsed side-channel.
-	// Probes record their elapsed simulated time here regardless of which
-	// goroutine ran them; DWP pops and reports it at the consumption point
-	// — on the demanding goroutine, outside any cache mutex — so the
-	// observation sequence is a pure function of the demand order no
-	// matter how many pool workers computed probes concurrently.
+	// A probe records its elapsed simulated time here on whichever
+	// goroutine ran it — a concurrent hit on a key still in flight can run
+	// the shared computation on behalf of the caller that missed — and the
+	// missing DWP call pops and reports it, outside any cache mutex, so
+	// the observation sequence is a pure function of the demand order.
 	mu       sync.Mutex
 	probeObs func(simSeconds float64)
 	elapsed  map[string]float64
@@ -94,9 +80,7 @@ func (tc *TuningCache) SetProbeObserver(fn func(simSeconds float64)) {
 type TuningCacheOption func(*tuningCacheOpts)
 
 type tuningCacheOpts struct {
-	maxEntries   int
-	cacheErrors  bool
-	probeWorkers int
+	maxEntries int
 }
 
 // CacheMaxEntries bounds the DWP layer to n entries with LRU eviction
@@ -104,26 +88,6 @@ type tuningCacheOpts struct {
 // it holds one entry per topology model, not per workload.
 func CacheMaxEntries(n int) TuningCacheOption {
 	return func(o *tuningCacheOpts) { o.maxEntries = n }
-}
-
-// CacheErrors memoizes failed probes forever — the pre-durability default,
-// kept available because strict replay determinism wants the first outcome
-// (even a failure) to be the outcome. Without it a failed probe is
-// forgotten and the next lookup of its key retries.
-func CacheErrors() TuningCacheOption {
-	return func(o *tuningCacheOpts) { o.cacheErrors = true }
-}
-
-// ProbeWorkers sizes the asynchronous probe pool serving Prefetch: n >= 1
-// bounds how many speculative probe mini-sims run concurrently, n == 0
-// (the default) selects GOMAXPROCS, and n < 0 disables prefetching —
-// every probe then runs synchronously inside the DWP call that demands
-// it, the pre-pool behaviour. Probes are pure functions of the cache key
-// and consumption stays single-flight at the demanding caller, so the
-// setting changes wall-clock time only, never a log byte (pinned by
-// TestProbePoolDeterminism).
-func ProbeWorkers(n int) TuningCacheOption {
-	return func(o *tuningCacheOpts) { o.probeWorkers = n }
 }
 
 // DefaultProbeWorkScale is the fraction of a job's work volume a tuning
@@ -146,33 +110,14 @@ func NewTuningCache(simCfg sim.Config, probeScale float64, seed uint64, opts ...
 	for _, opt := range opts {
 		opt(&o)
 	}
-	var dwpOpts []cache.Option
-	if o.maxEntries > 0 {
-		dwpOpts = append(dwpOpts, cache.MaxEntries(o.maxEntries))
-	}
-	if !o.cacheErrors {
-		dwpOpts = append(dwpOpts, cache.ForgetErrors())
-	}
-	workers := o.probeWorkers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	tc := &TuningCache{
+	return &TuningCache{
 		simCfg:     simCfg,
 		probeScale: probeScale,
 		seed:       seed,
 		canon:      cache.New[*core.CanonicalTuner](),
-		dwp:        cache.New[float64](dwpOpts...),
-		workers:    workers,
+		dwp:        cache.New[float64](cache.MaxEntries(o.maxEntries), cache.ForgetErrors()),
 		elapsed:    make(map[string]float64),
 	}
-	if workers > 0 {
-		tc.sem = make(chan struct{}, workers)
-	}
-	return tc
 }
 
 // Canonical returns the shared canonical tuner for the machine's topology
@@ -187,32 +132,22 @@ func (tc *TuningCache) Canonical(topo *topology.Machine) *core.CanonicalTuner {
 // Key derives the cache key for a placement decision. The layout is
 // frozen — "<fingerprint>|<signature>|w<workers>|c<coRunners>" — because
 // persisted cache snapshots store keys verbatim; the hand-rolled append
-// keeps the derivation to one allocation on the admission/prefetch hot
-// path.
+// keeps the derivation to one allocation on the admission hot path.
 func (tc *TuningCache) Key(topo *topology.Machine, spec workload.Spec, workers, coRunners int) string {
 	var scratch [64]byte
-	return string(appendKey(scratch[:0], topo, spec, workers, coRunners))
-}
-
-// appendKey appends the Key bytes to dst, so the prefetch hot path can
-// probe the cache with a stack-built key and allocate only when it
-// actually reserves.
-func appendKey(dst []byte, topo *topology.Machine, spec workload.Spec, workers, coRunners int) []byte {
-	dst = append(dst, topo.Fingerprint()...)
+	dst := append(scratch[:0], topo.Fingerprint()...)
 	dst = append(dst, '|')
 	dst = spec.AppendSignature(dst)
 	dst = append(dst, '|', 'w')
 	dst = strconv.AppendInt(dst, int64(workers), 10)
 	dst = append(dst, '|', 'c')
 	dst = strconv.AppendInt(dst, int64(coRunners), 10)
-	return dst
+	return string(dst)
 }
 
 // DWP returns the tuned proximity factor for the given placement context,
 // running a probe on first use. hit reports whether the value came from
-// the cache (true) or this call consumed the probe (false) — a probe the
-// pool prefetched still counts as this caller's miss, because consumption
-// is the deterministic point of the demand sequence.
+// the cache (true) or this call ran the probe (false).
 func (tc *TuningCache) DWP(topo *topology.Machine, spec workload.Spec, workers, coRunners int) (dwp float64, hit bool, err error) {
 	key := tc.Key(topo, spec, workers, coRunners)
 	dwp, hit, err = tc.dwp.Get(key, func() (float64, error) {
@@ -221,10 +156,10 @@ func (tc *TuningCache) DWP(topo *topology.Machine, spec workload.Spec, workers, 
 	if !hit {
 		// Consumption point: report the probe's elapsed simulated time to
 		// the observer here — on the demanding goroutine, outside the cache
-		// mutex (lockedio) — never from the pool goroutine that happened to
-		// run the mini-sim. The elapsed value is a pure function of the key
-		// and this pop happens exactly once per consumed probe, so the
-		// observation sequence is byte-identical for any pool width.
+		// mutex (lockedio) — even when a concurrent hit ran the mini-sim.
+		// The elapsed value is a pure function of the key and this pop
+		// happens exactly once per probe run, so the observation sequence
+		// follows the demand order.
 		tc.mu.Lock()
 		secs, ran := tc.elapsed[key]
 		if ran {
@@ -239,49 +174,10 @@ func (tc *TuningCache) DWP(topo *topology.Machine, spec workload.Spec, workers, 
 	return dwp, hit, err
 }
 
-// Prefetch hints that the given placement context will be demanded soon:
-// if its key is not already cached or reserved, the probe mini-sim is
-// handed to the cache's bounded pool and computed off the caller's
-// goroutine. The reservation itself is synchronous and cheap; the later
-// DWP call blocks on the single-flight result (or computes it inline if
-// it wins the race), so prefetching overlaps probe work with the
-// scheduler without moving any demand-side observable. No-op when the
-// pool is disabled (ProbeWorkers < 0).
-func (tc *TuningCache) Prefetch(topo *topology.Machine, spec workload.Spec, workers, coRunners int) {
-	if tc.workers <= 0 {
-		return
-	}
-	// Probe with a stack-built key first: the fleet re-hints aggressively
-	// (every arrival, backfill sweep and retune), so on a warm cache this
-	// path runs orders of magnitude more often than it reserves and must
-	// not allocate. Contains is advisory — Prefetch re-checks under its
-	// own lock — so a race costs one key allocation, nothing else.
-	var scratch [64]byte
-	if tc.dwp.Contains(appendKey(scratch[:0], topo, spec, workers, coRunners)) {
-		return
-	}
-	key := tc.Key(topo, spec, workers, coRunners)
-	run, reserved := tc.dwp.Prefetch(key, func() (float64, error) {
-		return tc.probe(key, topo, spec, workers, coRunners)
-	})
-	if !reserved {
-		return
-	}
-	tc.wg.Add(1)
-	go func() {
-		defer tc.wg.Done()
-		tc.sem <- struct{}{}
-		defer func() { <-tc.sem }()
-		run()
-	}()
-}
-
-// Quiesce blocks until every in-flight prefetch probe has finished. A
-// drained fleet calls it before returning (and the daemon before saving
-// the cache), so no background goroutine outlives the work that spawned
-// it — allocation-counting tests and the race detector see a cache at
-// rest between runs.
-func (tc *TuningCache) Quiesce() { tc.wg.Wait() }
+// Quiesce does nothing: probes run synchronously inside DWP, so no
+// probe work outlives the call that demanded it. It stays only for
+// callers written against the former asynchronous probe pool.
+func (tc *TuningCache) Quiesce() {}
 
 // TuningCacheStats is the DWP layer's cumulative accounting, reported by
 // the daemon's /fleet endpoint. Misses equal probe runs.
@@ -446,8 +342,8 @@ func (tc *TuningCache) probe(key string, topo *topology.Machine, spec workload.S
 	}
 	// e.Now() after Run is the probe's elapsed simulated time — a pure
 	// function of (key, topology, spec). It is parked here and reported to
-	// the observer only when a DWP call consumes the key, because this
-	// function may run on a pool goroutine at a wall-clock-dependent point.
+	// the observer by the DWP call that missed, because this function may
+	// run on a concurrent hit's goroutine.
 	tc.mu.Lock()
 	tc.elapsed[key] = e.Now()
 	tc.mu.Unlock()

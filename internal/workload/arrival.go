@@ -14,7 +14,7 @@ import (
 // The digest is FNV-64a over an exact byte stream — the same bytes the
 // original fmt.Fprintf("%s|%g|...") formulation hashed, now produced with
 // strconv appends into a stack scratch buffer. Signature sits on the fleet
-// scheduler's cache-key hot path (every admission, prefetch and retune
+// scheduler's cache-key hot path (every admission and retune
 // derives a key), where the fmt operand boxing dominated the allocation
 // profile; TestSignatureMatchesReference pins byte-stream equality with
 // the fmt-based reference, and cache snapshots persisted under the old

@@ -78,67 +78,3 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 			t4, t1, runtime.NumCPU())
 	}
 }
-
-// TestProbeBurstMultiCoreGate is the probe pool's hard pass/fail wrapper
-// around BenchmarkColdCacheProbeBurst: on a multi-core runner, a cold
-// cache hit by a burst of distinct workload classes must drain faster
-// with four probe workers than with one. Every run builds a fresh fleet
-// with a fresh private cache, so each pays the full probe bill; the pool
-// width is the only variable. Same guards as the shard gate — the
-// comparison is meaningless on a single core.
-func TestProbeBurstMultiCoreGate(t *testing.T) {
-	if os.Getenv("BWAP_SCALING_TEST") != "1" {
-		t.Skip("set BWAP_SCALING_TEST=1 (CI multicore job) to run the probe gate")
-	}
-	if n := runtime.NumCPU(); n < 4 {
-		t.Skipf("probe gate needs >= 4 CPUs, have %d", n)
-	}
-
-	const sigs = 16
-	streams := probeBurstStreams(sigs)
-	run := func(probeWorkers int) time.Duration {
-		start := time.Now()
-		f, err := bwap.NewFleet(bwap.FleetConfig{
-			Machines:     8,
-			Shards:       2,
-			Workers:      2,
-			ProbeWorkers: probeWorkers,
-			SimCfg:       bwap.Config{Seed: 1},
-			Seed:         1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.SubmitStream(streams); err != nil {
-			t.Fatal(err)
-		}
-		stats, err := f.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Completed != sigs {
-			t.Fatalf("probe-workers=%d completed %d/%d jobs", probeWorkers, stats.Completed, sigs)
-		}
-		if stats.CacheMisses == 0 {
-			t.Fatalf("probe-workers=%d recorded no probe misses; the burst is vacuous", probeWorkers)
-		}
-		return time.Since(start)
-	}
-	run(1) // one throwaway run to warm code paths, never the cache
-
-	best := func(probeWorkers int) time.Duration {
-		b := run(probeWorkers)
-		for i := 0; i < 4; i++ {
-			if d := run(probeWorkers); d < b {
-				b = d
-			}
-		}
-		return b
-	}
-	t1, t4 := best(1), best(4)
-	t.Logf("cold-cache probe burst wall time: 1 worker %v, 4 workers %v (%.2fx)", t1, t4, float64(t1)/float64(t4))
-	if t4 >= t1 {
-		t.Fatalf("4 probe workers (%v) not faster than 1 (%v) on a %d-CPU runner",
-			t4, t1, runtime.NumCPU())
-	}
-}
