@@ -279,9 +279,9 @@ func BenchmarkFleetThroughput(b *testing.B) {
 
 // BenchmarkFleetThroughputSharded measures the scheduler's multi-core
 // scaling axis: the identical warm-cache job stream over 8 machines at 1,
-// 2 and 4 shards with the worker pool sized to match. Least-loaded
-// routing keeps every placement — and the event log — bit-identical
-// across shard counts, so the sub-benchmarks do the same simulated work;
+// 2 and 4 shards (min(shards, GOMAXPROCS) workers). Shards never change
+// a placement — or a byte of the event log — so the sub-benchmarks do
+// the same simulated work;
 // jobs/s differences are pure tick-advance parallelism. (On a single-core
 // runner the shard counts tie modulo barrier overhead; the 4-beats-1 gate
 // assumes ≥4 cores and is enforced by the CI multicore job via
@@ -316,7 +316,6 @@ func BenchmarkFleetThroughputSharded(b *testing.B) {
 				f, err := bwap.NewFleet(bwap.FleetConfig{
 					Machines: 8,
 					Shards:   shards,
-					Workers:  shards,
 					SimCfg:   bwap.Config{Seed: 1},
 					Seed:     1,
 					Cache:    cache,
@@ -363,7 +362,6 @@ func BenchmarkColdCacheProbeBurst(b *testing.B) {
 		f, err := bwap.NewFleet(bwap.FleetConfig{
 			Machines: 8,
 			Shards:   2,
-			Workers:  2,
 			SimCfg:   bwap.Config{Seed: 1},
 			Seed:     1,
 		})

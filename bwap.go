@@ -271,16 +271,8 @@ type FleetShardStat = fleet.ShardStat
 // machine; select one by name via FleetConfig.Admission.
 type FleetAdmissionPolicy = fleet.AdmissionPolicy
 
-// FleetRouting assigns admission attempts to shards; select one by name
-// via FleetConfig.Routing.
-type FleetRouting = fleet.Routing
-
-// Routing and admission policy names for FleetConfig.
+// Admission policy names for FleetConfig.
 const (
-	FleetRouteLeastLoaded  = fleet.RouteLeastLoaded
-	FleetRouteHashAffinity = fleet.RouteHashAffinity
-	FleetRouteRoundRobin   = fleet.RouteRoundRobin
-
 	FleetAdmitMostFree      = fleet.AdmitMostFree
 	FleetAdmitBestBandwidth = fleet.AdmitBestBandwidth
 	FleetAdmitAntiAffinity  = fleet.AdmitAntiAffinity

@@ -11,10 +11,10 @@ import (
 )
 
 // The shard-scaling scenario measures the fleet's multi-core axis: the
-// identical job stream scheduled at increasing shard counts (worker pool
-// sized to match), under each admission policy. Because routing is
-// least-loaded, the simulated outcome — every placement, turnaround and
-// log byte — is invariant to the shard count (the replay tests pin this);
+// identical job stream scheduled at increasing shard counts, under each
+// admission policy. Because machine selection is one fleet-wide rule, the
+// simulated outcome — every placement, turnaround and log byte — is
+// invariant to the shard count (the replay tests pin this);
 // what changes is wall-clock time, so the table separates simulation
 // results (identical down the column) from the wall-time scaling the
 // sharding exists for. Runs share one pre-warmed tuning cache so probe
@@ -64,7 +64,6 @@ func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 		return fleet.New(fleet.Config{
 			Machines:   machines,
 			Shards:     shards,
-			Workers:    shards,
 			Admission:  admission,
 			NewMachine: func(int) *topology.Machine { return topology.MachineB() },
 			SimCfg:     simCfg,
@@ -121,7 +120,7 @@ func RunShardScaling(quick bool) (*ShardScalingTable, error) {
 func (t *ShardScalingTable) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", t.Title)
-	fmt.Fprintf(&b, "%d machines (Machine B), %d jobs, least-loaded routing, workers = shards\n", t.Machines, t.Jobs)
+	fmt.Fprintf(&b, "%d machines (Machine B), %d jobs, workers = min(shards, GOMAXPROCS)\n", t.Machines, t.Jobs)
 	fmt.Fprintf(&b, "(simulated columns are shard-invariant by construction; wall ms is the scaling axis)\n\n")
 	fmt.Fprintf(&b, "  %-16s %7s %9s %11s %12s %7s %8s\n",
 		"admission", "shards", "wall ms", "speedup", "turnaround", "util", "cache")

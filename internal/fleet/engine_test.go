@@ -16,7 +16,7 @@ func TestEngineReplayShardWorkerEquivalence(t *testing.T) {
 	for _, admission := range []string{AdmitMostFree, AdmitBestBandwidth, AdmitAntiAffinity} {
 		var base []byte
 		for _, c := range replayCombos {
-			f, stats := runFleet(t, shardConfig(PolicyBWAP, admission, c.shards, c.workers, 7), shardStreams())
+			f, stats := runFleetWorkers(t, shardConfig(PolicyBWAP, admission, c.shards, 7), c.workers, shardStreams())
 			if stats.Completed != stats.Jobs {
 				t.Fatalf("%s %d/%d: %d of %d jobs completed", admission, c.shards, c.workers, stats.Completed, stats.Jobs)
 			}
@@ -34,7 +34,7 @@ func TestEngineReplayShardWorkerEquivalence(t *testing.T) {
 // TestEngineChaosTraceReplayShardInvariance: a trace recorded with
 // fault injection reproduces itself bit for bit at 1, 2 and 4 shards.
 func TestEngineChaosTraceReplayShardInvariance(t *testing.T) {
-	rec, stats := runFleet(t, chaosShardConfig(1, 1), shardStreams())
+	rec, stats := runFleetWorkers(t, chaosShardConfig(1), 1, shardStreams())
 	if stats.Evacuations == 0 && stats.Retries == 0 {
 		t.Fatal("recorded run hit no faults; shard invariance would be vacuous")
 	}
@@ -50,7 +50,7 @@ func TestEngineChaosTraceReplayShardInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		f, _ := runFleet(t, chaosShardConfig(shards, shards), trace)
+		f, _ := runFleetWorkers(t, chaosShardConfig(shards), shards, trace)
 		if !bytes.Equal(rec.LogBytes(), f.LogBytes()) {
 			t.Fatalf("chaos replay at %d shards changed the log\n--- recorded ---\n%s\n--- replay ---\n%s",
 				shards, rec.LogBytes(), f.LogBytes())
@@ -63,10 +63,10 @@ func TestEngineChaosTraceReplayShardInvariance(t *testing.T) {
 // timeline JSON and span log must all be byte-identical at 1, 2 and 4
 // shards.
 func TestEngineMetricsReplayByteIdentical(t *testing.T) {
-	cfg := obsFaultConfig(1, 1)
+	cfg := obsFaultConfig(1)
 	var baseSpans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &baseSpans})
-	recorded, _ := runFleet(t, cfg, shardStreams())
+	recorded, _ := runFleetWorkers(t, cfg, 1, shardStreams())
 	if err := recorded.Observer().CloseSpans(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +81,10 @@ func TestEngineMetricsReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-		rcfg := obsFaultConfig(c.shards, c.workers)
+		rcfg := obsFaultConfig(c.shards)
 		var spans bytes.Buffer
 		rcfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
-		rf, _ := runFleet(t, rcfg, streams)
+		rf, _ := runFleetWorkers(t, rcfg, c.workers, streams)
 		if err := rf.Observer().CloseSpans(); err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestEngineMetricsReplayByteIdentical(t *testing.T) {
 // converges (latEpoch churn blocks the replay path). On the dense shard
 // stream the fleet must keep replaying the bulk of its ticks.
 func TestEngineReplaysMoreTicks(t *testing.T) {
-	_, stats := runFleet(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7), shardStreams())
+	_, stats := runFleetWorkers(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 7), 2, shardStreams())
 	total := stats.TickSolves + stats.TickReplays
 	if total == 0 {
 		t.Fatal("no ticks ran")
@@ -152,7 +152,7 @@ func TestEnginePhaseAwareHorizon(t *testing.T) {
 			Arrival:  workload.ArrivalSpec{Process: workload.Periodic, Rate: 0.2, Count: 3},
 			Workers:  2, WorkScale: 0.1,
 		}}
-		f, stats := runFleet(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 2, 7), streams)
+		f, stats := runFleetWorkers(t, shardConfig(PolicyBWAP, AdmitMostFree, 2, 7), 2, streams)
 		if stats.Completed != stats.Jobs {
 			t.Fatalf("phases %v: %d of %d jobs completed", phases, stats.Completed, stats.Jobs)
 		}
@@ -182,7 +182,7 @@ func TestEnginePhaseAwareHorizon(t *testing.T) {
 // reference. The hash is the same at 2×2 and 1×1 (shard invariance).
 func TestEngineLogFrozen(t *testing.T) {
 	for _, n := range []int{2, 1} {
-		f, _ := runFleet(t, chaosShardConfig(n, n), shardStreams())
+		f, _ := runFleetWorkers(t, chaosShardConfig(n), n, shardStreams())
 		checkNaivePin(t, "chaos", f.LogBytes())
 	}
 }

@@ -115,7 +115,7 @@ func TestEventHeapSeqBreaksTimeKindTies(t *testing.T) {
 
 // TestPeekNextMatchesSingleHeap is the cross-shard merge property: pushing
 // a random event mix through a fleet partitioned into 1..4 shard heaps
-// (plus the router-level arrival heap, exactly as Fleet.push routes kinds)
+// (plus the fleet-level arrival heap, exactly as Fleet.push routes kinds)
 // and draining via peekNext must reproduce the pop order of one merged
 // heap — the (t, kind, seq) contract every shard-invariance test builds on.
 func TestPeekNextMatchesSingleHeap(t *testing.T) {

@@ -43,7 +43,7 @@ const (
 	FaultCrash = "crash"
 	// FaultDrain stops admission to the machine and gracefully evacuates
 	// its running jobs: each job's progress is snapshotted and the
-	// remainder resubmitted through the routing/admission tiers.
+	// remainder resubmitted through admission.
 	FaultDrain = "drain"
 	// FaultRecover brings a crashed or drained machine back up and
 	// backfills the queue against the restored capacity.

@@ -3,45 +3,45 @@
 // workload specs with arrival processes and durations — across a fleet of
 // simulated NUMA machines.
 //
-// The fleet is partitioned into shards, each with its own event heap,
-// clock and machine set. Within a shard every machine is one sim.Engine
-// advanced in lockstep with the others (identical tick length), so
-// co-located jobs contend exactly as they do in the single-run
-// experiments; across shards a bounded worker pool advances every shard
-// concurrently through conservative-lookahead windows with a barrier
-// between windows, which is the daemon's multi-core scaling axis. Jobs
-// never cross shards once placed, so the lockstep invariant holds per
-// shard and the merged event log is bit-identical for a given seed
-// regardless of the worker count.
+// Every machine is one sim.Engine advanced in lockstep with the others
+// (identical tick length), so co-located jobs contend exactly as they do
+// in the single-run experiments. The machines are partitioned into shards
+// (Config.Shards), each with its own event heap, clock mirror and machine
+// set; a worker pool of min(Shards, GOMAXPROCS) goroutines advances the
+// shards concurrently through conservative-lookahead windows with a
+// barrier between windows, which is the daemon's multi-core scaling axis.
+// Shards change wall time, never the outcome: machine selection is one
+// fleet-wide rule, so the merged event log is bit-identical for a given
+// seed at any shard count.
 //
-// The scheduler pops events off the shard heaps (and a router-level
+// The scheduler pops events off the shard heaps (and a fleet-level
 // arrival heap) in global (timestamp, event kind, push sequence) order;
 // between events it advances every shard window by window, each window
 // sized so no job can complete inside it, stopping at the tick any job
-// completes so the completion becomes an event of its own. A routing tier
-// assigns each admission attempt to a shard (Config.Routing: least-loaded,
-// hash-affinity, round-robin) and an AdmissionPolicy picks the node set on
-// the chosen machine (Config.Admission: most-free, best-bandwidth,
-// anti-affinity); jobs that do not fit wait in an arrival-ordered queue
-// and are backfilled as capacity frees up. Under the bwap policy,
-// placement consults the TuningCache: repeated jobs skip re-profiling, and
-// a miss runs its probe mini-sim synchronously inside the admission (or
-// retune) that demands it. Churn (an arrival or departure on a machine)
-// schedules a coalesced retune event that re-places the survivors for
-// their new co-runner count.
+// completes so the completion becomes an event of its own. Each admission
+// attempt takes the fleet's most-free fitting machine (bestFit) and an
+// AdmissionPolicy picks the node set on it (Config.Admission: most-free,
+// best-bandwidth, anti-affinity); jobs that do not fit wait in an
+// arrival-ordered queue and are backfilled as capacity frees up. Under
+// the bwap policy, placement consults the TuningCache: repeated jobs skip
+// re-profiling, and a miss runs its probe mini-sim synchronously inside
+// the admission (or retune) that demands it. Churn (an arrival or
+// departure on a machine) schedules a coalesced retune event that
+// re-places the survivors for their new co-runner count.
 //
 // Every decision is appended to a JSONL event log; the same configuration,
 // seed and job stream reproduce the log bit for bit.
 package fleet
 
 import (
+	"cmp"
 	"container/heap"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"bwap/internal/core"
 	"bwap/internal/policy"
@@ -69,14 +69,9 @@ type Config struct {
 	Machines int
 	// Shards partitions the machines into independently advanced shards
 	// (default 1; machine i belongs to shard i mod Shards). Must not
-	// exceed Machines.
+	// exceed Machines. min(Shards, GOMAXPROCS) goroutines advance them
+	// between events; the event log is bit-identical for any shard count.
 	Shards int
-	// Workers bounds the goroutines advancing shards between events
-	// (default min(Shards, GOMAXPROCS); clamped to Shards). The event log
-	// is bit-identical for any worker count.
-	Workers int
-	// Routing selects the job→shard tier (default RouteLeastLoaded).
-	Routing string
 	// Admission selects the node-selection policy on the admitting
 	// machine (default AdmitMostFree).
 	Admission string
@@ -152,9 +147,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Routing == "" {
-		c.Routing = RouteLeastLoaded
 	}
 	if c.Admission == "" {
 		c.Admission = AdmitMostFree
@@ -258,9 +250,8 @@ type Job struct {
 	// job fails terminally.
 	Attempts int
 
-	app     *sim.App
-	seen    bool   // completion already turned into an event
-	sigHash uint64 // FNV-64a of Spec.Signature(), computed once at Submit
+	app  *sim.App
+	seen bool // completion already turned into an event
 	// remFrac is the fraction of the job's scaled work volume still to
 	// run: 1 until a drain snapshots progress, then scaled down so the
 	// re-placed remainder is only what is left. Placement multiplies it
@@ -331,8 +322,7 @@ type Fleet struct {
 	dt        float64
 	machines  []*machine // by global id
 	shards    []*shard
-	workers   int
-	router    Routing
+	workers   int // shard-advance goroutines: min(Shards, GOMAXPROCS)
 	admission AdmissionPolicy
 	cache     *TuningCache
 
@@ -352,7 +342,7 @@ type Fleet struct {
 	retries     int
 	failedJobs  int
 
-	arrivals eventHeap // router-level events; machine events live on shards
+	arrivals eventHeap // fleet-level events; machine events live on shards
 	eventSeq int
 	now      float64
 	pool     *tickPool // live only inside a run() invocation
@@ -378,10 +368,6 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Shards > cfg.Machines {
 		return nil, fmt.Errorf("fleet: %d shards for %d machines", cfg.Shards, cfg.Machines)
 	}
-	router, err := NewRouting(cfg.Routing)
-	if err != nil {
-		return nil, err
-	}
 	admission, err := NewAdmissionPolicy(cfg.Admission)
 	if err != nil {
 		return nil, err
@@ -390,18 +376,12 @@ func New(cfg Config) (*Fleet, error) {
 	if dt <= 0 {
 		dt = 0.1
 	}
-	f := &Fleet{cfg: cfg, dt: dt, router: router, admission: admission, cache: cfg.Cache}
+	f := &Fleet{cfg: cfg, dt: dt, admission: admission, cache: cfg.Cache}
 	if f.cache == nil {
 		f.cache = NewTuningCache(cfg.SimCfg, cfg.ProbeWorkScale, cfg.Seed)
 	}
 	f.log.retain = cfg.LogRetention
-	f.workers = cfg.Workers
-	if f.workers <= 0 {
-		f.workers = min(cfg.Shards, runtime.GOMAXPROCS(0))
-	}
-	if f.workers > cfg.Shards {
-		f.workers = cfg.Shards
-	}
+	f.workers = min(cfg.Shards, runtime.GOMAXPROCS(0))
 	f.log.w = cfg.LogW
 	f.obs = cfg.Obs
 	if f.obs != nil {
@@ -496,7 +476,7 @@ func (f *Fleet) pendingEvents() int {
 	return n
 }
 
-// push schedules an event: router-level kinds (arrivals, retries,
+// push schedules an event: fleet-level kinds (arrivals, retries,
 // machine-adds) on the arrival heap, machine-scoped kinds (completions,
 // retunes, crashes, drains, recoveries) on the owning machine's shard
 // heap. The shard is computed as mach mod shards — the machine→shard
@@ -573,9 +553,6 @@ func (f *Fleet) Submit(spec workload.Spec, workers int, workScale, at float64) (
 		ID: len(f.jobs) + 1, Spec: spec, Workers: workers, WorkScale: workScale,
 		Arrival: at, State: JobPending, Machine: -1, remFrac: 1,
 	}
-	h := fnv.New64a()
-	h.Write([]byte(spec.Signature()))
-	job.sigHash = h.Sum64()
 	f.jobs = append(f.jobs, job)
 	f.push(at, evArrive, job, -1)
 	return job, nil
@@ -614,14 +591,14 @@ func (f *Fleet) SubmitStream(streams []StreamSpec) error {
 			all = append(all, pending{at: at, class: ci, s: s})
 		}
 	}
-	// Stable merge: arrival time, then class index. Insertion sort keeps
-	// it dependency-free; streams are short relative to simulation work.
-	for i := 1; i < len(all); i++ {
-		for j := i; j > 0 && (all[j].at < all[j-1].at ||
-			(all[j].at == all[j-1].at && all[j].class < all[j-1].class)); j-- {
-			all[j], all[j-1] = all[j-1], all[j]
+	// Stable merge: arrival time, then class index; equal pairs keep their
+	// class's own order.
+	slices.SortStableFunc(all, func(a, b pending) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-	}
+		return cmp.Compare(a.class, b.class)
+	})
 	for _, p := range all {
 		ws := p.s.WorkScale
 		if ws <= 0 {
@@ -756,18 +733,35 @@ func (f *Fleet) lookaheadWindow(t float64) int {
 }
 
 // advanceTo advances every shard in lockstep windows (see
-// lookaheadWindow) until the clock reaches t, stopping at the first tick
+// lookaheadWindow) until the clock reaches t, stopping at the first window
 // in which any job completes; the newly completed jobs are returned so the
-// loop can turn them into events. With more than one shard and worker the
-// shards free-run each window concurrently and meet at a barrier between
-// windows; the serial path is the single-worker degenerate case of the
-// same loop.
+// loop can turn them into events. With one worker the shards free-run each
+// window on the scheduler goroutine; with more, the pool runs them
+// concurrently and the window ends at a barrier once every worker has
+// replied — so no shard ever runs past a tick at which an event could
+// emerge, and completions are gathered from quiescent state. Either way
+// the clock advances on the scheduler goroutine and gatherComps orders
+// completions by machine id, so the outcome does not depend on the worker
+// or shard count.
 func (f *Fleet) advanceTo(t float64) []*Job {
 	var comps []*Job
-	if f.workers > 1 && len(f.shards) > 1 {
-		comps = f.advanceParallel(t)
-	} else {
-		comps = f.advanceSerial(t)
+	for len(comps) == 0 && f.now+f.eps() < t {
+		k := f.lookaheadWindow(t)
+		if f.workers > 1 {
+			p := f.ensurePool()
+			for _, c := range p.wake {
+				c <- k
+			}
+			for range p.wake {
+				<-p.done
+			}
+		} else {
+			for _, s := range f.shards {
+				s.freeRun(k, f.dt)
+			}
+		}
+		f.bumpClock(k)
+		comps = f.gatherComps()
 	}
 	// Shards mirror the lockstep clock for their stats snapshots.
 	for _, s := range f.shards {
@@ -826,7 +820,7 @@ func (f *Fleet) handle(ev *event) error {
 }
 
 // logAppend writes one record to the merged log, attributing it to a
-// shard (-1 = router-level records: arrive, queue).
+// shard (-1 = fleet-level records: arrive, queue).
 func (f *Fleet) logAppend(shardID int, rec Record) {
 	f.log.append(rec)
 	if shardID >= 0 {
@@ -841,10 +835,9 @@ func (f *Fleet) logAppend(shardID int, rec Record) {
 // fits the worker demand, ties to the earliest in the slice (= lowest id,
 // as every machine list is id-ascending). Drained and crashed machines are
 // invisible — that single check is how every admission path honors the
-// lifecycle state. The least-loaded router and the shard-level admission
-// both call it, which is what makes their composition pick the same
-// machine for any shard partition — the replay-equivalence tests depend on
-// this staying a single function.
+// lifecycle state. Admission scans the whole fleet with it, never one
+// shard, so the chosen machine does not depend on the shard partition —
+// the replay-equivalence tests depend on this.
 func bestFit(ms []*machine, workers int) *machine {
 	var best *machine
 	for _, m := range ms {
@@ -855,17 +848,11 @@ func bestFit(ms []*machine, workers int) *machine {
 	return best
 }
 
-// tryAdmit asks the router for a shard, then admits within it: the
-// shard's bestFit machine takes the job, with the admission policy
-// picking the node set. False means no capacity on the routed shard (or
-// nowhere, for the least-loaded router).
+// tryAdmit admits the job onto the fleet's bestFit machine, with the
+// admission policy picking the node set. False means no machine has
+// capacity for it now.
 func (f *Fleet) tryAdmit(job *Job) (bool, error) {
-	si := f.router.route(f, job)
-	if si < 0 {
-		return false, nil
-	}
-	s := f.shards[si]
-	best := bestFit(s.machines, job.Workers)
+	best := bestFit(f.machines, job.Workers)
 	if best == nil {
 		return false, nil
 	}

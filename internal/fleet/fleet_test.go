@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -49,12 +50,31 @@ func testStreams() []StreamSpec {
 	}
 }
 
-func runFleet(t *testing.T, cfg Config, streams []StreamSpec) (*Fleet, *Stats) {
+// newFleet builds a fleet and, when workers > 0, sizes its shard-advance
+// pool to workers goroutines instead of New's min(Shards, GOMAXPROCS), so
+// the worker axis of the determinism contract runs on any host.
+func newFleet(t *testing.T, cfg Config, workers int) *Fleet {
 	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if workers > 0 {
+		f.workers = workers
+	}
+	return f
+}
+
+func runFleet(t *testing.T, cfg Config, streams []StreamSpec) (*Fleet, *Stats) {
+	t.Helper()
+	return runFleetWorkers(t, cfg, 0, streams)
+}
+
+// runFleetWorkers is runFleet with the pool forced to workers goroutines
+// (see newFleet).
+func runFleetWorkers(t *testing.T, cfg Config, workers int, streams []StreamSpec) (*Fleet, *Stats) {
+	t.Helper()
+	f := newFleet(t, cfg, workers)
 	if err := f.SubmitStream(streams); err != nil {
 		t.Fatal(err)
 	}
@@ -360,9 +380,6 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := New(Config{Policy: "nope"}); err == nil {
 		t.Fatal("unknown policy accepted")
 	}
-	if _, err := New(Config{Routing: "nope"}); err == nil {
-		t.Fatal("unknown routing accepted")
-	}
 	if _, err := New(Config{Admission: "nope"}); err == nil {
 		t.Fatal("unknown admission policy accepted")
 	}
@@ -371,72 +388,80 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRoundRobinRoutingCycles pins the sticky per-job shard assignment:
-// with one machine per shard, concurrent jobs land on machines 0..3 in
-// submission order.
-func TestRoundRobinRoutingCycles(t *testing.T) {
-	cfg := testConfig(PolicyFirstTouch, 2)
-	cfg.Machines, cfg.Shards, cfg.Routing = 4, 4, RouteRoundRobin
-	f, err := New(cfg)
+// TestSubmitStreamTieOrder pins SubmitStream's job numbering: jobs are
+// numbered by arrival time, a cross-class timestamp tie goes to the lower
+// class index, and a same-class tie keeps the class's own order. Signed
+// zeros compare equal but stay distinguishable afterwards, so they make
+// the same-class half observable; the stream is long enough that an
+// unstable sort would reorder them.
+func TestSubmitStreamTieOrder(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	var c0, c1 []float64
+	for i := 0; i < 24; i++ {
+		c0 = append(c0, []float64{1, 0, negZero, 0.5}[i%4])
+		c1 = append(c1, []float64{negZero, 0.5, 1}[i%3])
+	}
+	streams := []StreamSpec{
+		{Workload: testSpec("c0"), Arrival: workload.TraceArrival(c0), Workers: 1},
+		{Workload: testSpec("c1"), Arrival: workload.TraceArrival(c1), Workers: 1},
+	}
+	f, err := New(testConfig(PolicyFirstTouch, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
-		if _, err := f.Submit(testSpec("rr"), 1, 0.1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f.Run(); err != nil {
+	if err := f.SubmitStream(streams); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i <= 4; i++ {
-		if got := f.Job(i).Machine; got != i-1 {
-			t.Fatalf("job %d ran on machine %d, want %d", i, got, i-1)
+	// The expected numbering, built without sorting: for each distinct
+	// time in ascending order, each class's entries at that time in class
+	// order, each in the order its class listed them.
+	type entry struct {
+		class string
+		at    float64
+	}
+	var want []entry
+	for _, at := range []float64{0, 0.5, 1} {
+		for ci, times := range [][]float64{c0, c1} {
+			for _, x := range times {
+				if x == at {
+					want = append(want, entry{fmt.Sprintf("c%d", ci), x})
+				}
+			}
+		}
+	}
+	if len(f.Jobs()) != len(want) {
+		t.Fatalf("%d jobs submitted, want %d", len(f.Jobs()), len(want))
+	}
+	for i, w := range want {
+		j := f.Job(i + 1)
+		if j.Spec.Name != w.class || math.Float64bits(j.Arrival) != math.Float64bits(w.at) {
+			t.Fatalf("job %d is (%s, %g, signbit %v), want (%s, %g, signbit %v)", i+1,
+				j.Spec.Name, j.Arrival, math.Signbit(j.Arrival), w.class, w.at, math.Signbit(w.at))
 		}
 	}
 }
 
-// TestHashAffinityCoLocatesSignatures submits two concurrent jobs of the
-// same workload: the least-loaded router would spread them to different
-// machines, hash affinity must keep them on the same shard's machine.
-func TestHashAffinityCoLocatesSignatures(t *testing.T) {
+// TestBestFitSpreadsConcurrentJobs: with free machines available,
+// admission spreads concurrent jobs of the same workload across machines
+// (bestFit takes the most-free one) rather than stacking them.
+func TestBestFitSpreadsConcurrentJobs(t *testing.T) {
 	cfg := testConfig(PolicyFirstTouch, 2)
-	cfg.Machines, cfg.Shards, cfg.Routing = 2, 2, RouteHashAffinity
+	cfg.Machines, cfg.Shards = 2, 2
+	spec := testSpec("spread")
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := testSpec("affine")
-	if _, err := f.Submit(spec, 1, 0.1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Submit(spec, 1, 0.1, 0); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := f.Submit(spec, 1, 0.1, 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if _, err := f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Job(1).Machine != f.Job(2).Machine {
-		t.Fatalf("same-signature jobs split across machines %d and %d",
-			f.Job(1).Machine, f.Job(2).Machine)
-	}
-
-	// Control: the default router spreads them.
-	cfg.Routing = RouteLeastLoaded
-	f2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := f2.Submit(spec, 1, 0.1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := f2.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if f2.Job(1).Machine == f2.Job(2).Machine {
-		t.Fatal("least-loaded router co-located concurrent jobs with free machines available")
+	if f.Job(1).Machine == f.Job(2).Machine {
+		t.Fatal("admission co-located concurrent jobs with free machines available")
 	}
 }
 
@@ -555,8 +580,8 @@ func TestShardStatsPartition(t *testing.T) {
 	if hits != stats.CacheHits || misses != stats.CacheMisses {
 		t.Fatalf("shard cache %d/%d, fleet %d/%d", hits, misses, stats.CacheHits, stats.CacheMisses)
 	}
-	// Router-level arrive/queue records are attributed to no shard.
+	// Fleet-level arrive/queue records are attributed to no shard.
 	if records >= stats.LogRecords {
-		t.Fatalf("shard records %d should exclude router records (total %d)", records, stats.LogRecords)
+		t.Fatalf("shard records %d should exclude fleet-level records (total %d)", records, stats.LogRecords)
 	}
 }

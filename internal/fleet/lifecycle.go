@@ -78,7 +78,7 @@ func (f *Fleet) machinesUp() int {
 
 // Drain gracefully takes machine id out of service: admission stops and
 // every running job is evacuated — progress snapshotted, remainder
-// resubmitted through the routing/admission tiers. The server's /drain
+// resubmitted through admission. The server's /drain
 // endpoint calls this between Advance windows.
 func (f *Fleet) Drain(id int) error {
 	m, err := f.machineByID(id)
@@ -123,7 +123,7 @@ func (f *Fleet) machineByID(id int) (*machine, error) {
 // discrete model they completed before the drain took effect; everything
 // else is evacuated: progress snapshotted into the job's remaining-work
 // fraction, the app detached, and the remainder resubmitted through the
-// normal routing/admission tiers (queueing if nothing fits). A drain of a
+// normal admission path (queueing if nothing fits). A drain of a
 // machine that is not up is a no-op, so a FaultPlan drain racing a crash
 // at the same instant — crashes sort first — never "gracefully" evacuates
 // jobs the crash already killed.

@@ -433,8 +433,8 @@ func chaosTestPlan() *FaultPlan {
 }
 
 // chaosShardConfig is shardConfig plus the chaos plan.
-func chaosShardConfig(shards, workers int) Config {
-	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, workers, 31)
+func chaosShardConfig(shards int) Config {
+	cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, shards, 31)
 	cfg.Faults = chaosTestPlan()
 	return cfg
 }
@@ -446,10 +446,7 @@ func chaosShardConfig(shards, workers int) Config {
 // consistent — and every job must reach a terminal state in the end. The
 // stepped log must match the naive loop's pin for the same plan.
 func TestConservationUnderChaos(t *testing.T) {
-	f, err := New(chaosShardConfig(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFleet(t, chaosShardConfig(2), 2)
 	if err := f.SubmitStream(shardStreams()); err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +486,7 @@ func TestConservationUnderChaos(t *testing.T) {
 // and rerun with the same FaultPlan, reproduces itself bit for bit at
 // 1, 2 and 4 shards.
 func TestChaosTraceReplayShardInvariance(t *testing.T) {
-	rec, stats := runFleet(t, chaosShardConfig(1, 1), shardStreams())
+	rec, stats := runFleetWorkers(t, chaosShardConfig(1), 1, shardStreams())
 	if stats.Evacuations == 0 && stats.Retries == 0 {
 		t.Fatal("recorded run hit no faults; shard invariance would be vacuous")
 	}
@@ -507,7 +504,7 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
-		f, _ := runFleet(t, chaosShardConfig(shards, shards), trace)
+		f, _ := runFleetWorkers(t, chaosShardConfig(shards), shards, trace)
 		if !bytes.Equal(rec.LogBytes(), f.LogBytes()) {
 			t.Fatalf("chaos replay at %d shards changed the log\n--- recorded ---\n%s\n--- replay ---\n%s",
 				shards, rec.LogBytes(), f.LogBytes())
@@ -518,7 +515,7 @@ func TestChaosTraceReplayShardInvariance(t *testing.T) {
 // TestLifecycleRecordsWellFormed drives the chaos plan once and checks the
 // structural contract of the new record kinds.
 func TestLifecycleRecordsWellFormed(t *testing.T) {
-	f, _ := runFleet(t, chaosShardConfig(2, 1), shardStreams())
+	f, _ := runFleetWorkers(t, chaosShardConfig(2), 1, shardStreams())
 	recs, err := DecodeLog(f.LogBytes())
 	if err != nil {
 		t.Fatal(err)

@@ -68,7 +68,7 @@ type Record struct {
 // eventLog accumulates the merged JSONL log, optionally mirroring each
 // line to a streaming writer. With sharding, records belong to per-shard
 // streams (admits, completes and retunes to the owning machine's shard,
-// arrive/queue to the router); the merge is the interleave by the
+// arrive/queue to the fleet); the merge is the interleave by the
 // fleet-global sequence number, which is assigned here under the
 // scheduler — handling is serialized even when tick advancement is
 // parallel — so the merged order is total, causal, and independent of

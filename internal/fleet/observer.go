@@ -101,7 +101,7 @@ func NewObserver(cfg ObserverConfig) *Observer {
 	}
 
 	o.arrivals = r.Counter("bwap_job_arrivals_total", "Job arrival events fired.")
-	o.queueEvents = r.Counter("bwap_job_queue_events_total", "Times a job entered the wait queue (no capacity on its routed shard).")
+	o.queueEvents = r.Counter("bwap_job_queue_events_total", "Times a job entered the wait queue (no machine had capacity).")
 	o.admits = r.Counter("bwap_job_admits_total", "Job placements (fresh arrivals, evacuations and retries alike).")
 	o.completions = r.Counter("bwap_job_completions_total", "Jobs that ran to completion.")
 	o.failures = r.Counter("bwap_job_failures_total", "Jobs that exhausted their crash-retry budget (terminal).")
@@ -202,7 +202,7 @@ type spanArgs struct {
 	Outcome  string `json:"outcome,omitempty"`
 }
 
-// pid maps a machine id to a span process id (router-level records,
+// pid maps a machine id to a span process id (fleet-level records,
 // machine -1, land on pid 0).
 func pid(machine int) int { return machine + 1 }
 

@@ -20,8 +20,8 @@ import (
 // obsFaultConfig is the chaos-flavored telemetry fixture: the sharded
 // 8-machine config plus a crash (retry path) and a drain (evacuation
 // path), so an observed run exercises every record type.
-func obsFaultConfig(shards, workers int) Config {
-	cfg := shardConfig(PolicyBWAP, AdmitMostFree, shards, workers, 23)
+func obsFaultConfig(shards int) Config {
+	cfg := shardConfig(PolicyBWAP, AdmitMostFree, shards, 23)
 	cfg.Faults = &FaultPlan{Faults: []FaultSpec{
 		{Kind: FaultCrash, Machines: []int{0}, At: 1.5, RecoverAfter: 3},
 		{Kind: FaultDrain, Machines: []int{2}, At: 2, RecoverAfter: 4},
@@ -68,12 +68,12 @@ func timelineJSON(t *testing.T, f *Fleet, window float64) []byte {
 // attaching telemetry (spans included) leaves the merged JSONL event log
 // byte-identical. The observer consumes records and never produces them.
 func TestTelemetryDoesNotPerturbLog(t *testing.T) {
-	bare, _ := runFleet(t, obsFaultConfig(2, 2), shardStreams())
+	bare, _ := runFleetWorkers(t, obsFaultConfig(2), 2, shardStreams())
 
-	cfg := obsFaultConfig(2, 2)
+	cfg := obsFaultConfig(2)
 	var spanBuf bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spanBuf})
-	observed, _ := runFleet(t, cfg, shardStreams())
+	observed, _ := runFleetWorkers(t, cfg, 2, shardStreams())
 
 	if !bytes.Equal(bare.LogBytes(), observed.LogBytes()) {
 		t.Fatalf("telemetry perturbed the event log\n--- bare ---\n%s\n--- observed ---\n%s",
@@ -102,10 +102,10 @@ func TestTelemetryDoesNotPerturbLog(t *testing.T) {
 // 2 and 4 shards reproduces the /metrics text, the timeline JSON and the
 // span log byte for byte.
 func TestMetricsReplayByteIdentical(t *testing.T) {
-	cfg := obsFaultConfig(1, 1)
+	cfg := obsFaultConfig(1)
 	var baseSpans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &baseSpans})
-	recorded, _ := runFleet(t, cfg, shardStreams())
+	recorded, _ := runFleetWorkers(t, cfg, 1, shardStreams())
 	if err := recorded.Observer().CloseSpans(); err != nil {
 		t.Fatal(err)
 	}
@@ -120,10 +120,10 @@ func TestMetricsReplayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-		rcfg := obsFaultConfig(c.shards, c.workers)
+		rcfg := obsFaultConfig(c.shards)
 		var spans bytes.Buffer
 		rcfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
-		rf, _ := runFleet(t, rcfg, streams)
+		rf, _ := runFleetWorkers(t, rcfg, c.workers, streams)
 		if err := rf.Observer().CloseSpans(); err != nil {
 			t.Fatal(err)
 		}

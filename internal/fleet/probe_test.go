@@ -22,12 +22,9 @@ func TestProbeObservationsShardInvariant(t *testing.T) {
 	}
 	var runs []outcome
 	for _, c := range []struct{ shards, workers int }{{1, 1}, {2, 2}, {4, 4}} {
-		cfg := obsFaultConfig(c.shards, c.workers)
+		cfg := obsFaultConfig(c.shards)
 		cfg.Obs = NewObserver(ObserverConfig{})
-		f, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		f := newFleet(t, cfg, c.workers)
 		// Interpose on the probe observer: record the sequence this run
 		// reports, then feed the real observer so /metrics stays fully
 		// populated.

@@ -12,10 +12,9 @@ import (
 // The replay-equivalence tests pin the sharding acceptance criterion:
 // for a fixed seed and job stream, neither the shard count nor the worker
 // count may change the merged JSONL event log by a single byte. Worker
-// invariance holds for every routing policy (parallelism only moves tick
-// work between goroutines under the barrier); shard invariance holds for
-// the least-loaded router, whose shard choice composes with the shard-
-// level machine selection into the same global argmax for any partition.
+// invariance holds because parallelism only moves tick work between
+// goroutines under the barrier; shard invariance holds because admission
+// selects its machine fleet-wide (bestFit), never per shard.
 
 func eightNodeMachine(int) *topology.Machine { return topology.Symmetric(4, 4, 40, 10) }
 
@@ -45,11 +44,10 @@ func shardStreams() []StreamSpec {
 	}
 }
 
-func shardConfig(placement, admission string, shards, workers int, seed uint64) Config {
+func shardConfig(placement, admission string, shards int, seed uint64) Config {
 	return Config{
 		Machines:   8,
 		Shards:     shards,
-		Workers:    workers,
 		NewMachine: eightNodeMachine,
 		SimCfg:     sim.Config{Seed: seed},
 		Policy:     placement,
@@ -71,7 +69,7 @@ func TestReplayShardWorkerEquivalence(t *testing.T) {
 			var base []byte
 			var baseStats *Stats
 			for _, c := range replayCombos {
-				f, stats := runFleet(t, shardConfig(PolicyFirstTouch, admission, c.shards, c.workers, 17), shardStreams())
+				f, stats := runFleetWorkers(t, shardConfig(PolicyFirstTouch, admission, c.shards, 17), c.workers, shardStreams())
 				if stats.Completed != 14 {
 					t.Fatalf("shards=%d workers=%d completed %d/14", c.shards, c.workers, stats.Completed)
 				}
@@ -98,15 +96,15 @@ func TestReplayShardWorkerEquivalence(t *testing.T) {
 // shard- and worker-invariant too.
 func TestReplayShardEquivalenceBWAP(t *testing.T) {
 	cache := NewTuningCache(sim.Config{Seed: 17}, 0, 17)
-	warm := shardConfig(PolicyBWAP, AdmitMostFree, 1, 1, 17)
+	warm := shardConfig(PolicyBWAP, AdmitMostFree, 1, 17)
 	warm.Cache = cache
 	runFleet(t, warm, shardStreams()) // populates every (sig, workers, co) key
 
 	var base []byte
 	for _, c := range []struct{ shards, workers int }{{1, 1}, {4, 2}, {8, 8}} {
-		cfg := shardConfig(PolicyBWAP, AdmitMostFree, c.shards, c.workers, 17)
+		cfg := shardConfig(PolicyBWAP, AdmitMostFree, c.shards, 17)
 		cfg.Cache = cache
-		f, stats := runFleet(t, cfg, shardStreams())
+		f, stats := runFleetWorkers(t, cfg, c.workers, shardStreams())
 		if stats.CacheMisses != 0 {
 			t.Fatalf("shards=%d: %d probes ran against a warm cache", c.shards, stats.CacheMisses)
 		}
@@ -120,39 +118,11 @@ func TestReplayShardEquivalenceBWAP(t *testing.T) {
 	}
 }
 
-// TestReplayWorkerInvarianceStickyRouting checks the worker-count half of
-// the contract for the shard-dependent routers: hash-affinity and
-// round-robin change placement with the shard count (by design), but for
-// a fixed shard count the worker pool size must still not leak into the
-// log.
-func TestReplayWorkerInvarianceStickyRouting(t *testing.T) {
-	for _, routing := range []string{RouteHashAffinity, RouteRoundRobin} {
-		t.Run(routing, func(t *testing.T) {
-			var base []byte
-			for _, workers := range []int{1, 4} {
-				cfg := shardConfig(PolicyFirstTouch, AdmitMostFree, 4, workers, 23)
-				cfg.Routing = routing
-				f, stats := runFleet(t, cfg, shardStreams())
-				if stats.Completed != 14 {
-					t.Fatalf("workers=%d completed %d/14", workers, stats.Completed)
-				}
-				if base == nil {
-					base = f.LogBytes()
-					continue
-				}
-				if !bytes.Equal(base, f.LogBytes()) {
-					t.Fatalf("%s: worker count changed the log", routing)
-				}
-			}
-		})
-	}
-}
-
 // TestReplaySeedStillMatters guards against the invariance tests passing
 // vacuously: a different seed must produce a different log.
 func TestReplaySeedStillMatters(t *testing.T) {
-	f1, _ := runFleet(t, shardConfig(PolicyFirstTouch, AdmitMostFree, 8, 8, 17), shardStreams())
-	f2, _ := runFleet(t, shardConfig(PolicyFirstTouch, AdmitMostFree, 8, 8, 18), shardStreams())
+	f1, _ := runFleetWorkers(t, shardConfig(PolicyFirstTouch, AdmitMostFree, 8, 17), 8, shardStreams())
+	f2, _ := runFleetWorkers(t, shardConfig(PolicyFirstTouch, AdmitMostFree, 8, 18), 8, shardStreams())
 	if bytes.Equal(f1.LogBytes(), f2.LogBytes()) {
 		t.Fatal("different seeds produced identical logs")
 	}

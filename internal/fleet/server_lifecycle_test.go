@@ -16,18 +16,14 @@ import (
 // drain/recover endpoint tests.
 func newLifecycleServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	f, err := New(Config{
+	f := newFleet(t, Config{
 		Machines:   2,
 		Shards:     2,
-		Workers:    2,
 		NewMachine: smallMachine,
 		SimCfg:     sim.Config{Seed: 27},
 		Policy:     PolicyBWAP,
 		Seed:       27,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 2)
 	s := NewServer(f)
 	s.SimRate = 2000
 	ts := httptest.NewServer(s.Handler())

@@ -17,13 +17,10 @@ import (
 // fleet mid-advance, and without -race it still exercises the
 // stalled-scraper-vs-driver interleaving.
 func TestServerScrapeDuringChaosEngineV2(t *testing.T) {
-	cfg := chaosShardConfig(2, 2)
+	cfg := chaosShardConfig(2)
 	var spans bytes.Buffer
 	cfg.Obs = NewObserver(ObserverConfig{SpanW: &spans})
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFleet(t, cfg, 2)
 	s := NewServer(f)
 	s.SimRate = 500
 	s.Tick = time.Millisecond

@@ -149,16 +149,12 @@ func TestServerShardedConcurrentLoad(t *testing.T) {
 	cfg := Config{
 		Machines:   4,
 		Shards:     2,
-		Workers:    2,
 		NewMachine: smallMachine,
 		SimCfg:     sim.Config{Seed: 33},
 		Policy:     PolicyBWAP,
 		Seed:       33,
 	}
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFleet(t, cfg, 2)
 	s := NewServer(f)
 	s.SimRate = 2000
 	ts := httptest.NewServer(s.Handler())

@@ -7,7 +7,7 @@ package fleet
 // statistics.
 //
 // Concurrency contract — the "shard barrier" every counter hides behind:
-// worker goroutines touch a shard only inside one of advanceParallel's
+// worker goroutines touch a shard only inside one of advanceTo's pooled
 // windows (between the wake send and the done reply), and the scheduler
 // touches shards only outside those windows. Everything a worker mutates
 // (engines, busyNodeSeconds, the completion scratch, now) is therefore
@@ -42,8 +42,8 @@ type shard struct {
 // Busy-time charges repeat the per-tick additions in (tick, machine)
 // order — occupancy is constant between barriers — so utilization
 // accounting is independent of how a span of ticks is cut into windows.
-// Runs on the scheduler goroutine (serial mode) or on the shard's worker
-// between barriers (parallel mode). The shard clock mirror (s.now) is
+// Runs on the scheduler goroutine (one worker) or on the shard's pool
+// worker between barriers. The shard clock mirror (s.now) is
 // maintained by advanceTo on the scheduler goroutine, not here, so the
 // lockstep clock has exactly one accumulation sequence.
 func (s *shard) freeRun(k int, dt float64) {
@@ -110,23 +110,6 @@ func (f *Fleet) gatherComps() []*Job {
 	return out
 }
 
-// advanceSerial is the single-worker advance loop: every shard free-runs
-// each lookahead window on the scheduler goroutine, stopping at the first
-// window that completes a job.
-func (f *Fleet) advanceSerial(t float64) []*Job {
-	for f.now+f.eps() < t {
-		k := f.lookaheadWindow(t)
-		for _, s := range f.shards {
-			s.freeRun(k, f.dt)
-		}
-		f.bumpClock(k)
-		if comps := f.gatherComps(); len(comps) > 0 {
-			return comps
-		}
-	}
-	return nil
-}
-
 // bumpClock advances the lockstep clock by a k-tick window, with the same
 // one-dt-at-a-time additions a per-tick loop performs so the clock value
 // (and every timestamp derived from it) is independent of the window size.
@@ -143,9 +126,9 @@ func (f *Fleet) bumpClock(k int) {
 // worker w owns shards w, w+W, ... and sleeps on its wake channel between
 // windows. The wake message carries the window size, so a k-tick window
 // pays one barrier instead of k. The pool is created lazily by the first
-// parallel advance of a run() invocation and torn down when run()
-// returns, so its lifetime spans many inter-event advances instead of
-// one goroutine spawn per event gap.
+// pooled window of a run() invocation and torn down when run() returns,
+// so its lifetime spans many inter-event advances instead of one
+// goroutine spawn per event gap.
 type tickPool struct {
 	wake []chan int
 	done chan int
@@ -182,31 +165,4 @@ func (f *Fleet) stopPool() {
 		close(c)
 	}
 	f.pool = nil
-}
-
-// advanceParallel runs the same loop as advanceSerial with the shards
-// spread over the worker pool. Each window ends in a barrier: the
-// scheduler wakes every worker, each free-runs its shards the window's
-// tick count, and the window ends only when all have replied — so no
-// shard ever runs past a tick at which an event could emerge, and
-// completion events are gathered from quiescent state. Determinism does
-// not depend on the worker count: shards share no state, the clock
-// advances on the scheduler goroutine, and gatherComps orders completions
-// by machine id.
-func (f *Fleet) advanceParallel(t float64) []*Job {
-	p := f.ensurePool()
-	for f.now+f.eps() < t {
-		k := f.lookaheadWindow(t)
-		for _, c := range p.wake {
-			c <- k
-		}
-		for i := 0; i < len(p.wake); i++ {
-			<-p.done
-		}
-		f.bumpClock(k)
-		if comps := f.gatherComps(); len(comps) > 0 {
-			return comps
-		}
-	}
-	return nil
 }

@@ -5,12 +5,11 @@ package fleet
 type Stats struct {
 	// Policy is the placement policy in force.
 	Policy string `json:"policy"`
-	// Routing and Admission name the job→shard tier and the node-selection
-	// policy.
-	Routing   string `json:"routing"`
+	// Admission names the node-selection policy.
 	Admission string `json:"admission"`
 	// Machines is the fleet size; MachinesUp the members currently in
-	// service; Shards the partition count; Workers the advance pool bound.
+	// service; Shards the partition count; Workers the goroutines that
+	// advance the shards, min(Shards, GOMAXPROCS).
 	Machines   int `json:"machines"`
 	MachinesUp int `json:"machines_up"`
 	Shards     int `json:"shards"`
@@ -57,9 +56,9 @@ type Stats struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 	CacheRestored  int64 `json:"cache_restored"`
 	CacheEntries   int   `json:"cache_entries"`
-	// TickSolves/TickReplays report the engines' quiescent-interval
-	// fast-forward economics, summed over machines: ticks that ran a full
-	// flow build + memsys solve vs. ticks replayed from a cached solve.
+	// TickSolves/TickReplays report the engines' fast-forward economics,
+	// summed over machines: ticks that ran a full flow build + memsys
+	// solve vs. ticks replayed from a memoized solve.
 	// A healthy steady-state fleet replays most ticks.
 	TickSolves  int64 `json:"tick_solves"`
 	TickReplays int64 `json:"tick_replays"`
@@ -99,7 +98,7 @@ type ShardStat struct {
 	CacheHits   int64 `json:"cache_hits"`
 	CacheMisses int64 `json:"cache_misses"`
 	// LogRecords counts merged-log lines attributed to this shard
-	// (arrive/queue records are router-level and belong to none).
+	// (arrive/queue records are fleet-level and belong to none).
 	LogRecords int `json:"log_records"`
 }
 
@@ -107,7 +106,6 @@ type ShardStat struct {
 func (f *Fleet) Stats() *Stats {
 	s := &Stats{
 		Policy:         f.cfg.Policy,
-		Routing:        f.router.Name(),
 		Admission:      f.admission.Name(),
 		Machines:       len(f.machines),
 		MachinesUp:     f.machinesUp(),

@@ -73,7 +73,7 @@ func TestTraceReplayReproducesLog(t *testing.T) {
 
 // TestTraceReplayShardInvariant replays a trace into a sharded fleet: the
 // trace was recorded unsharded, and the merged log must still come out
-// bit-identical (least-loaded routing is shard-partition invariant).
+// bit-identical (machine selection is shard-partition invariant).
 func TestTraceReplayShardInvariant(t *testing.T) {
 	cfg := testConfig(PolicyFirstTouch, 19)
 	cfg.Machines = 4
@@ -84,8 +84,8 @@ func TestTraceReplayShardInvariant(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharded := cfg
-	sharded.Shards, sharded.Workers = 2, 2
-	replayed, _ := runFleet(t, sharded, streams)
+	sharded.Shards = 2
+	replayed, _ := runFleetWorkers(t, sharded, 2, streams)
 	if !bytes.Equal(recorded.LogBytes(), replayed.LogBytes()) {
 		t.Fatal("sharded trace replay diverged from the unsharded recording")
 	}

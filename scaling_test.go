@@ -38,7 +38,6 @@ func TestShardScalingMultiCoreGate(t *testing.T) {
 		f, err := bwap.NewFleet(bwap.FleetConfig{
 			Machines: 8,
 			Shards:   shards,
-			Workers:  shards,
 			SimCfg:   bwap.Config{Seed: 1},
 			Seed:     1,
 			Cache:    cache,
